@@ -124,7 +124,7 @@ func main() {
 	flag.StringVar(&o.topo, "topology", "uniform", "alias for -topo")
 	flag.Float64Var(&o.delay, "delay", 10, "problem spec: uniform/ring link delay")
 	flag.Float64Var(&o.tol, "tol", 1e-9, "quiescence tolerance")
-	flag.StringVar(&o.localSolver, "local-solver", "", "factor backend for the local solves (empty for default)")
+	flag.StringVar(&o.localSolver, "local-solver", "", "factor selection for the local solves, a backend with optional order=, e.g. sparse-supernodal,order=nd (empty for auto)")
 	flag.Float64Var(&o.sendThreshold, "send-threshold", 0, "wave re-announcement suppression threshold (default tol/100)")
 	flag.IntVar(&o.watchdogMS, "watchdog-ms", 50, "worker retransmission sweep interval")
 	flag.IntVar(&o.pollMS, "poll-ms", 10, "coordinator status poll interval")
@@ -135,7 +135,7 @@ func main() {
 	flag.BoolVar(&o.crash, "crash", false, "selftest: SIGKILL the last worker mid-solve and require failover")
 	flag.DurationVar(&o.timeout, "timeout", 2*time.Minute, "coordinator/selftest deadline")
 	flag.Float64Var(&o.drop, "drop", 0, "inject this wave-drop probability on this member's sends (testing)")
-	flag.Int64Var(&o.cacheMB, "cache-mb", 64, "shared factor cache budget in MiB (0 disables)")
+	flag.Int64Var(&o.cacheMB, "cache-mb", 64, "worker: factor cache budget in MiB, kept across solve sessions (0 disables)")
 	flag.BoolVar(&o.verbose, "v", false, "log progress")
 	flag.BoolVar(&o.printX, "print-x", false, "coordinator: print the assembled solution vector")
 	flag.Parse()
@@ -156,10 +156,6 @@ func run(o *options) error {
 	}
 	if _, ok := addrs[o.self]; !ok {
 		return fmt.Errorf("-peers does not list -self %d", o.self)
-	}
-	if o.cacheMB > 0 {
-		factor.EnableSharedCache(o.cacheMB << 20)
-		defer factor.DisableSharedCache()
 	}
 	tr, err := transport.NewTCP(o.self, addrs)
 	if err != nil {
@@ -187,6 +183,9 @@ func worker(o *options, tr transport.Transport) error {
 	}
 	w := dist.NewWorker(wtr)
 	w.Incarnation = workerIncarnation(o.incarnation)
+	if o.cacheMB > 0 {
+		w.Cache = factor.NewCache(o.cacheMB << 20)
+	}
 	if o.verbose {
 		w.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "dtmd: "+format+"\n", args...)

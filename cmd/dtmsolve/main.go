@@ -78,36 +78,31 @@ func main() {
 	flag.Float64Var(&o.maxTime, "maxtime", 10000, "virtual time horizon for dtm/async-jacobi (topology time units)")
 	flag.IntVar(&o.maxIter, "maxiter", 5000, "iteration bound for the discrete-time solvers")
 	flag.Float64Var(&o.tol, "tol", 1e-8, "stopping tolerance")
-	flag.StringVar(&o.localSolver, "localsolver", "", fmt.Sprintf("local-factorisation backend for the block/subdomain solvers: one of %v (default: the factor package default, %q)", factor.Backends(), factor.Default()))
-	flag.StringVar(&o.ordering, "ordering", "", "fill-reducing ordering the sparse backends use: natural, rcm, amd, nd or auto (default: auto — nd/rcm for grid stencils by size, amd for irregular patterns)")
+	flag.StringVar(&o.localSolver, "localsolver", "", fmt.Sprintf(`factor selection for the direct/block/subdomain solvers: a backend, one of %v, optionally with ",order=<ordering>" (default %q)`, factor.Backends(), factor.Auto))
+	flag.StringVar(&o.ordering, "ordering", "", "fill-reducing ordering the sparse backends use, composed into the -localsolver selection: natural, rcm, amd, nd or auto (default: auto — nd/rcm for grid stencils by size, amd for irregular patterns)")
 	flag.IntVar(&o.nrhs, "nrhs", 1, "number of right-hand sides for -method direct: the loaded/default RHS plus generated extras, solved as one batched panel (-rhs stays the RHS-file flag)")
-	flag.BoolVar(&o.factorCache, "factorcache", false, "route factorisations through the shared factor cache and report its hit statistics")
+	flag.BoolVar(&o.factorCache, "factorcache", false, "-method direct: factorise through a factor cache, refactor once from it, and report its hit statistics")
 	flag.BoolVar(&o.printX, "print-x", false, "print the solution vector")
 	flag.StringVar(&o.faults, "faults", "", `fault-injection spec for dtm/mixed/live, e.g. "seed=7,drop=0.05,dup=0.01,jitter=0.5,down=2>3@100:400,crash=5@400+300,snap=100" (see internal/chaos)`)
 	flag.DurationVar(&o.timeout, "timeout", 0, "wall-clock deadline; for -method live this is the run's wall-time budget (default 3s), for the others a hard cap on the whole solve")
 	flag.Parse()
 
-	if o.localSolver != "" && !factor.Known(o.localSolver) {
-		fmt.Fprintf(os.Stderr, "dtmsolve: unknown local solver %q (have %v)\n", o.localSolver, factor.Backends())
+	sel, err := selection(o.localSolver, o.ordering)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dtmsolve: %v\n", err)
 		os.Exit(2)
 	}
-	if o.ordering != "" {
-		ord, err := factor.ParseOrdering(o.ordering)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dtmsolve: %v\n", err)
-			os.Exit(2)
-		}
-		if err := factor.SetDefaultOrdering(ord); err != nil {
-			fmt.Fprintf(os.Stderr, "dtmsolve: %v\n", err)
-			os.Exit(2)
-		}
-	}
+	o.localSolver = sel
 	if o.nrhs < 1 {
 		fmt.Fprintln(os.Stderr, "dtmsolve: -nrhs must be at least 1")
 		os.Exit(2)
 	}
 	if o.nrhs > 1 && o.method != "direct" {
 		fmt.Fprintf(os.Stderr, "dtmsolve: -nrhs applies to -method direct, not %q\n", o.method)
+		os.Exit(2)
+	}
+	if o.factorCache && o.method != "direct" {
+		fmt.Fprintf(os.Stderr, "dtmsolve: -factorcache applies to -method direct, not %q\n", o.method)
 		os.Exit(2)
 	}
 	if err := run(o); err != nil {
@@ -123,9 +118,9 @@ func run(o options) error {
 	}
 	fmt.Printf("system %q: n=%d, nnz=%d, symmetric=%v\n", sys.Name, sys.Dim(), sys.A.NNZ(), sys.A.IsSymmetric(1e-12))
 
+	var cache *factor.Cache
 	if o.factorCache {
-		factor.EnableSharedCache(1 << 30)
-		defer factor.DisableSharedCache()
+		cache = factor.NewCache(1 << 30)
 	}
 
 	if o.timeout > 0 && o.method != "live" {
@@ -139,7 +134,7 @@ func run(o options) error {
 	}
 
 	start := time.Now()
-	x, summary, err := solve(o, sys)
+	x, summary, err := solve(o, sys, cache)
 	if err != nil {
 		return err
 	}
@@ -148,8 +143,8 @@ func run(o options) error {
 	rel := sys.A.Residual(x, sys.B).Norm2() / sys.B.Norm2()
 	fmt.Printf("method=%s  %s\n", o.method, summary)
 	fmt.Printf("relative residual %.3g, wall time %v\n", rel, elapsed.Round(time.Millisecond))
-	if o.factorCache {
-		st := factor.SharedCache().Stats()
+	if cache != nil {
+		st := cache.Stats()
 		fmt.Printf("factor cache: %d hits / %d misses, %d entries, %.1f MiB resident, %d evictions\n",
 			st.Hits, st.Misses, st.Entries, float64(st.UsedBytes)/(1<<20), st.Evictions)
 	}
@@ -287,7 +282,7 @@ func faultSummary(f *core.FaultStats) string {
 		f.Dropped, f.Duplicated, f.Delayed, f.Retransmissions, f.Crashes, f.Restarts, f.Snapshots)
 }
 
-func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
+func solve(o options, sys sparse.System, cache *factor.Cache) (sparse.Vec, string, error) {
 	var spec *chaos.Spec
 	if o.faults != "" {
 		var err error
@@ -376,8 +371,8 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 		return res.X, fmt.Sprintf("converged=%v after %.2f s of real asynchronous execution, %d local solves, %d messages%s",
 			res.Converged, res.FinalTime, res.Solves, res.Messages, faultSummary(res.Faults)), nil
 	case "direct":
-		// One factor-once/solve-many factorisation of the whole system through
-		// the local-solver registry — the way to exercise a backend (or the
+		// One factor-once/solve-many factorisation of the whole system under
+		// the -localsolver selection — the way to exercise a backend (or the
 		// auto policy's fallback chain) on a workload end to end. The symmetric
 		// backends read only the lower triangle, so an unsymmetric matrix (a
 		// general MatrixMarket file, say) would be silently mis-factorised by
@@ -385,7 +380,7 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 		if o.localSolver != factor.DenseLU && !sys.A.IsSymmetric(1e-12) {
 			return nil, "", fmt.Errorf("method direct needs a symmetric matrix for backend %q (only dense-lu handles unsymmetric input)", o.localSolver)
 		}
-		s, err := factor.New(o.localSolver, sys.A)
+		s, err := cache.New(o.localSolver, sys.A)
 		if err != nil {
 			return nil, "", err
 		}
@@ -419,12 +414,12 @@ func solve(o options, sys sparse.System) (sparse.Vec, string, error) {
 		} else {
 			x = factor.Solve(s, sys.B)
 		}
-		if o.factorCache {
+		if cache != nil {
 			// A second factorisation of the same matrix inside this invocation
-			// is served from the shared cache — the stats line at the end
-			// shows the hit.
+			// is served from the cache — the stats line at the end shows the
+			// hit.
 			t0 := time.Now()
-			if _, err := factor.New(o.localSolver, sys.A); err != nil {
+			if _, err := cache.New(o.localSolver, sys.A); err != nil {
 				return nil, "", err
 			}
 			batchNote += fmt.Sprintf(", refactor served from the cache in %v", time.Since(t0).Round(time.Microsecond))
@@ -489,4 +484,24 @@ func iterSummary(st iterative.Stats) string {
 		res = 0
 	}
 	return fmt.Sprintf("converged=%v after %d iterations, relative residual %.3g", st.Converged, st.Iterations, res)
+}
+
+// selection composes -localsolver and -ordering into one canonical factor
+// selection string; a non-empty -ordering replaces any order= the
+// -localsolver value carries.
+func selection(localSolver, ordering string) (string, error) {
+	sel, err := factor.ParseSelection(localSolver)
+	if err != nil {
+		return "", err
+	}
+	if ordering != "" {
+		if sel.Order, err = factor.ParseOrdering(ordering); err != nil {
+			return "", err
+		}
+	}
+	// Parse the composed form again: a dense backend takes no ordering.
+	if _, err := factor.ParseSelection(sel.String()); err != nil {
+		return "", err
+	}
+	return sel.String(), nil
 }

@@ -13,21 +13,25 @@
 //     MatrixMarket files ("mm:<path>@<fnv64>", verified on every build and
 //     refused on mismatch with a typed error);
 //   - internal/factor — the pluggable local-factorisation subsystem: one
-//     LocalSolver interface over the registered backends dense-cholesky,
+//     LocalSolver interface over the fixed backends dense-cholesky,
 //     dense-lu, sparse-cholesky and sparse-ldlt (up-looking factorisations
 //     with per-block ND/RCM/AMD fill-reducing orderings) and sparse-supernodal
 //     (blocked trapezoidal panels over the postordered elimination tree,
 //     with independent subtrees factorised in parallel, deterministically),
 //     plus the auto policy every subdomain and block solver uses, whose
-//     non-SPD fallback chain is sparse-Cholesky → sparse-LDLᵀ → dense LU.
+//     non-SPD fallback chain is sparse-Cholesky → sparse-LDLᵀ → dense LU. A
+//     factorisation is configured by one per-call selection string, backend
+//     plus optional ordering ("sparse-supernodal,order=nd",
+//     factor.ParseSelection), never by package state.
 //     Solves are built for factor-once/solve-many: every sparse backend
 //     sweeps k right-hand sides as one batched panel (SolveBatchTo,
 //     byte-identical per RHS to k scalar sweeps; the supernodal panels run
 //     the packed rank-k kernels — an AVX microkernel on amd64), the
 //     supernodal backend level-schedules a single large triangular solve
 //     across elimination-tree level sets, and a concurrency-safe LRU factor
-//     cache (pattern+values keyed, byte-budgeted) serves repeated
-//     factorisations, optionally shared process-wide via EnableSharedCache;
+//     cache (pattern+values keyed, byte-budgeted), held by its owner — the
+//     dtmd worker across sessions, dtmsolve's direct path — serves repeated
+//     factorisations;
 //   - internal/graph, internal/partition — the electric graph of a symmetric
 //     system and its Electric Vertex Splitting (wire tearing);
 //   - internal/dtl, internal/topology, internal/netsim — directed transmission
@@ -45,9 +49,7 @@
 //     synchronous VTM special case and the mixed GALS variant; including the
 //     recovery protocol the engines run under injected faults: sequence
 //     numbers with last-writer-wins dedup, watchdog retransmission with
-//     backoff, and crash-restart from periodic snapshots (the pre-Config
-//     SolveDTM/SolveVTM/SolveMixed/SolveLive wrappers remain, deprecated and
-//     byte-identical);
+//     backoff, and crash-restart from periodic snapshots;
 //   - internal/transport — the datagram fabric distributed DTM runs on: an
 //     in-process channel implementation and a length-prefixed binary TCP
 //     implementation with reconnect backoff, under one conformance-tested

@@ -81,7 +81,7 @@ type Window struct {
 
 // Crash is one scheduled subdomain failure: the part loses its runtime state
 // at time At and restarts RestartAfter later from its latest periodic
-// snapshot, refactorising its local system through the LocalSolver registry.
+// snapshot, refactorising its local system under its factor selection.
 type Crash struct {
 	Part         int
 	At           float64

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/dense"
@@ -28,15 +29,12 @@ func TestSolveDTMDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("GridProblem: %v", err)
 		}
-		res, err := SolveDTM(prob, Options{
-			MaxTime:     4000,
-			Exact:       exact,
-			StopOnError: 1e-6,
-			RecordTrace: true,
-			LocalSolver: backend,
+		res, err := Solve(context.Background(), prob, Config{
+			CommonOptions: CommonOptions{Exact: exact, StopOnError: 1e-6, RecordTrace: true, LocalSolver: backend},
+			MaxTime:       4000,
 		})
 		if err != nil {
-			t.Fatalf("SolveDTM: %v", err)
+			t.Fatalf("Solve: %v", err)
 		}
 		return res
 	}
@@ -90,15 +88,8 @@ func TestSolveDTMDeterminism(t *testing.T) {
 	// dissection, so the ND code path (bushy etrees, parallel subtree
 	// factorisation) is under the byte-identical DES guarantee too.
 	t.Run("supernodal-nd-ordering", func(t *testing.T) {
-		if err := factor.SetDefaultOrdering(factor.OrderND); err != nil {
-			t.Fatal(err)
-		}
-		defer func() {
-			if err := factor.SetDefaultOrdering(factor.OrderAuto); err != nil {
-				t.Fatal(err)
-			}
-		}()
-		compare(t, run(factor.SparseSupernodal), run(factor.SparseSupernodal))
+		sel := factor.SparseSupernodal + ",order=nd"
+		compare(t, run(sel), run(sel))
 	})
 }
 
@@ -113,7 +104,7 @@ func TestIncrementalTwinGapMatchesFullScan(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GridProblem: %v", err)
 	}
-	cfg := Options{MaxTime: 800, Tol: 1e-7}.Config()
+	cfg := Config{CommonOptions: CommonOptions{Tol: 1e-7}, MaxTime: 800}
 	cfg.normalize()
 	subs, _, err := prob.BuildSubdomains(cfg.Impedance, cfg.LocalSolver)
 	if err != nil {

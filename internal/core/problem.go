@@ -122,11 +122,11 @@ func (p *Problem) OwnerPairs() [][][2]int {
 
 // BuildSubdomains instantiates the per-part DTM solvers with the impedances
 // chosen by the strategy (nil for the default, dtl.DiagScaled{Alpha: 1}) and
-// the given local-factorisation backend (empty for the factor package
-// default). It is shared by the DES, VTM and live engines, and exported so
+// the given factor selection (see CommonOptions.LocalSolver; empty for
+// "auto"). It is shared by the DES, VTM and live engines, and exported so
 // out-of-process workers (internal/dist) can build exactly the subdomains the
 // in-process engines would for the same problem.
-func (p *Problem) BuildSubdomains(strategy dtl.ImpedanceStrategy, backend string) ([]*Subdomain, []float64, error) {
+func (p *Problem) BuildSubdomains(strategy dtl.ImpedanceStrategy, sel string) ([]*Subdomain, []float64, error) {
 	if strategy == nil {
 		strategy = dtl.DiagScaled{Alpha: 1}
 	}
@@ -136,7 +136,7 @@ func (p *Problem) BuildSubdomains(strategy dtl.ImpedanceStrategy, backend string
 	}
 	subs := make([]*Subdomain, p.Partition.NumParts())
 	for i, ps := range p.Partition.Subdomains {
-		sd, err := NewSubdomain(ps, p.Partition.LinksOfPart(i), zs, backend)
+		sd, err := NewSubdomain(ps, p.Partition.LinksOfPart(i), zs, sel, nil)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: building subdomain %d: %w", i, err)
 		}

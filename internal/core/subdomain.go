@@ -60,11 +60,12 @@ type Subdomain struct {
 	solves    int
 	spd       bool // whether the local matrix was Cholesky-factorisable
 
-	// localA and backend are kept so a crash-restarted subdomain can rebuild
-	// its factorisation through the registry (Refactor); snapX/snapIncoming
-	// hold the latest in-memory snapshot a restart rolls back to.
+	// localA, sel and cache are kept so a crash-restarted subdomain can
+	// rebuild its factorisation exactly as before (Refactor); snapX and
+	// snapIncoming hold the latest in-memory snapshot a restart rolls back to.
 	localA       *sparse.CSR
-	backend      string
+	sel          string
+	cache        *factor.Cache
 	snapX        sparse.Vec
 	snapIncoming []float64
 	hasSnap      bool
@@ -75,12 +76,12 @@ type Subdomain struct {
 // impedance per link ID (indexed by TwinLink.ID over the whole partition).
 //
 // The local coefficient matrix is A_local + Σ_ends (1/Z) e_p e_pᵀ — constant
-// throughout the computation — and is factorised here once through the
-// internal/factor backend registry. backend names a registered backend
-// ("dense-cholesky", "dense-lu", "sparse-cholesky", "auto"); the empty string
-// selects the factor package default ("auto": Cholesky sized to the block,
-// falling back to LU with partial pivoting for merely-SNND blocks).
-func NewSubdomain(sub *partition.Subdomain, links []partition.TwinLink, z []float64, backend string) (*Subdomain, error) {
+// throughout the computation — and is factorised here once under the factor
+// selection sel (see CommonOptions.LocalSolver; empty selects "auto":
+// Cholesky sized to the block, falling back to LU with partial pivoting for
+// merely-SNND blocks). A non-nil cache serves the factorisation and any later
+// Refactor; nil factorises directly.
+func NewSubdomain(sub *partition.Subdomain, links []partition.TwinLink, z []float64, sel string, cache *factor.Cache) (*Subdomain, error) {
 	s := &Subdomain{
 		part:      sub.Part,
 		numPorts:  sub.NumPorts,
@@ -128,14 +129,10 @@ func NewSubdomain(sub *partition.Subdomain, links []partition.TwinLink, z []floa
 
 	// Build and factorise the constant local matrix of eq. (5.9).
 	local := sub.A.AddDiag(diagAdd)
-	solver, err := factor.New(backend, local)
-	if err != nil {
-		return nil, fmt.Errorf("core: factorising local system of part %d: %w", sub.Part, err)
+	s.localA, s.sel, s.cache = local, sel, cache
+	if err := s.Refactor(); err != nil {
+		return nil, err
 	}
-	s.solver = solver
-	s.spd = solver.Backend() != factor.DenseLU
-	s.localA = local
-	s.backend = backend
 	return s, nil
 }
 
@@ -368,14 +365,15 @@ func (s *Subdomain) RestoreSnapshot() {
 	copy(s.incoming, s.snapIncoming)
 }
 
-// Refactor rebuilds the local solver from the cached local matrix through the
-// factor registry. A crash-restarted subdomain calls it because the
-// factorisation held by the crashed process is lost; the rebuild is
-// deterministic, so the restarted subdomain solves exactly as before.
+// Refactor (re)builds the local solver from the kept local matrix under the
+// subdomain's selection and cache. NewSubdomain factorises through it, and a
+// crash-restarted subdomain calls it again because the factorisation held by
+// the crashed process is lost; the rebuild is deterministic, so the
+// restarted subdomain solves exactly as before.
 func (s *Subdomain) Refactor() error {
-	solver, err := factor.New(s.backend, s.localA)
+	solver, err := s.cache.New(s.sel, s.localA)
 	if err != nil {
-		return fmt.Errorf("core: refactorising local system of part %d: %w", s.part, err)
+		return fmt.Errorf("core: factorising local system of part %d: %w", s.part, err)
 	}
 	s.solver = solver
 	s.spd = solver.Backend() != factor.DenseLU

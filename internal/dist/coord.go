@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/factor"
 	"repro/internal/partition"
 	"repro/internal/sparse"
 	"repro/internal/transport"
@@ -24,8 +25,10 @@ type CoordConfig struct {
 	Workers []int
 	// Tol is the quiescence tolerance (stopping rule); required.
 	Tol float64
-	// LocalSolver selects the factor backend on every worker (empty for
-	// default).
+	// LocalSolver is the factor selection every worker factorises its parts
+	// with — a backend and optional ordering, "sparse-supernodal,order=nd"
+	// (see factor.ParseSelection; empty for "auto"). Pass the same string to
+	// Spec.Oracle to compute the matching reference.
 	LocalSolver string
 	// SendThreshold suppresses unchanged wave re-announcements; defaults to
 	// Tol/100 (floor 1e-12), the fault-mode rule, because a real network
@@ -68,6 +71,9 @@ func (c *CoordConfig) normalize() error {
 	}
 	if !(c.Tol > 0) {
 		return errors.New("dist: Tol must be positive")
+	}
+	if _, err := factor.ParseSelection(c.LocalSolver); err != nil {
+		return fmt.Errorf("dist: LocalSolver: %w", err)
 	}
 	if c.SendThreshold <= 0 {
 		c.SendThreshold = math.Max(c.Tol/100, 1e-12)

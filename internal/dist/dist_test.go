@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/factor"
 	"repro/internal/sparse"
 	"repro/internal/transport"
 )
@@ -186,6 +188,73 @@ func TestWorkerServesMultipleSessions(t *testing.T) {
 		_ = sendCtrl(ctx, members[0], w, &ctrlMsg{Type: msgShutdown})
 	}
 	wg.Wait()
+}
+
+// TestWorkerSelectionAndCache runs two sessions of one spec under an explicit
+// ordering selection on workers that hold a factor cache: each session must
+// match the oracle computed under the same selection string, and the second
+// session must be served from the caches the first one filled.
+func TestWorkerSelectionAndCache(t *testing.T) {
+	const sel = "sparse-supernodal,order=nd"
+	members := chanFabric(t, 3)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	caches := []*factor.Cache{factor.NewCache(0), factor.NewCache(0)}
+	for i, c := range caches {
+		w := NewWorker(members[i+1])
+		w.Cache = c
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = w.Run(ctx)
+		}()
+	}
+	oracle, err := quickSpec.Oracle(1e-9, sel)
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	for round := 0; round < 2; round++ {
+		res, err := Coordinate(ctx, members[0], CoordConfig{
+			Spec: quickSpec, Workers: []int{1, 2}, Tol: 1e-9, LocalSolver: sel,
+			WatchdogMS: 20, PollInterval: 5 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if d := maxAbsDiff(res.X, oracle.X); !res.Converged || !(d <= 1e-6) {
+			t.Fatalf("round %d: converged=%v, X differs from the %s oracle by %g", round, res.Converged, sel, d)
+		}
+	}
+	for i, c := range caches {
+		if st := c.Stats(); st.Misses != 2 || st.Hits != 2 {
+			t.Errorf("worker %d cache %+v, want 2 misses then 2 hits (two parts, two sessions)", i+1, st)
+		}
+	}
+	for _, w := range []int{1, 2} {
+		_ = sendCtrl(ctx, members[0], w, &ctrlMsg{Type: msgShutdown})
+	}
+	wg.Wait()
+}
+
+// TestCoordinateRejectsBadSelection checks that an unknown or malformed
+// factor selection fails in the coordinator, naming the selection, before
+// any worker is sent an assignment.
+func TestCoordinateRejectsBadSelection(t *testing.T) {
+	for _, sel := range []string{"no-such-backend", "sparse-supernodal,order=metis", "sparse-ldlt,order=nd,order=nd"} {
+		members := chanFabric(t, 2)
+		_, err := Coordinate(context.Background(), members[0], CoordConfig{
+			Spec: quickSpec, Workers: []int{1}, Tol: 1e-9, LocalSolver: sel,
+		})
+		if err == nil || !strings.Contains(err.Error(), sel) {
+			t.Fatalf("selection %q: err = %v, want an error naming it", sel, err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		if pkt, err := members[1].Recv(ctx); err == nil {
+			t.Errorf("selection %q: worker was sent a kind-%d packet", sel, pkt.Kind)
+		}
+		cancel()
+	}
 }
 
 func TestContiguousOwner(t *testing.T) {

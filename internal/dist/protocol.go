@@ -72,7 +72,8 @@ type assignMsg struct {
 	Owner []int `json:"owner"`
 	// Tol is the distributed quiescence tolerance.
 	Tol float64 `json:"tol"`
-	// LocalSolver selects the factor backend (empty for default).
+	// LocalSolver is the factor selection, backend and ordering (see
+	// factor.ParseSelection; empty for "auto").
 	LocalSolver string `json:"localSolver,omitempty"`
 	// SendThreshold suppresses unchanged wave re-announcements. The
 	// coordinator defaults it to Tol/100 — the fault-mode rule — because a

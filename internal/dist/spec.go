@@ -165,8 +165,9 @@ func (s *SpecV2) Build() (*core.Problem, error) {
 	return core.AutoProblem(sys, n, topo)
 }
 
-// Oracle solves the spec's problem on the in-process DES engine — the
-// deterministic reference a distributed run is compared against.
+// Oracle solves the spec's problem on the in-process DES engine under the
+// factor selection localSolver — the deterministic reference a distributed
+// run with the same CoordConfig.LocalSolver is compared against.
 func (s *SpecV2) Oracle(tol float64, localSolver string) (*core.Result, error) {
 	p, err := s.Build()
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dtl"
+	"repro/internal/factor"
 	"repro/internal/transport"
 )
 
@@ -38,6 +39,11 @@ type Worker struct {
 	// incarnation than its previous life, or its beats are fenced as zombie
 	// traffic. Defaults to 1.
 	Incarnation uint32
+	// Cache, when non-nil, serves every factorisation the worker performs —
+	// initial assignment, failover adoption and crash-restart refactoring —
+	// so a long-lived worker reuses factors across sessions. Nil factorises
+	// directly.
+	Cache *factor.Cache
 
 	badCtrl atomic.Uint64
 }
@@ -56,10 +62,10 @@ func (w *Worker) logf(format string, args ...any) {
 
 // Run serves solve sessions until the context is cancelled, the transport
 // closes, or a shutdown message arrives. Each session is one
-// assign→ready→start→solve→stop→result cycle; the worker (and its factor
-// cache) outlives sessions, so a long-lived dtmd process amortises
-// factorisation across solves. A reassign addressed to an idle worker (the
-// rejoin path) starts a mid-solve session directly.
+// assign→ready→start→solve→stop→result cycle; the worker (and its Cache)
+// outlives sessions, so a long-lived dtmd process amortises factorisation
+// across solves. A reassign addressed to an idle worker (the rejoin path)
+// starts a mid-solve session directly.
 func (w *Worker) Run(ctx context.Context) error {
 	for {
 		pkt, err := w.tr.Recv(ctx)
@@ -224,7 +230,7 @@ type workerSession struct {
 // assignment and failover adoption share it). The ownership maps must
 // already name this worker for the part.
 func (s *workerSession) adopt(part int32) error {
-	sd, err := core.NewSubdomain(s.p.Partition.Subdomains[part], s.p.Partition.LinksOfPart(int(part)), s.zs, s.a.LocalSolver)
+	sd, err := core.NewSubdomain(s.p.Partition.Subdomains[part], s.p.Partition.LinksOfPart(int(part)), s.zs, s.a.LocalSolver, s.w.Cache)
 	if err != nil {
 		return fmt.Errorf("dist: building subdomain %d: %w", part, err)
 	}

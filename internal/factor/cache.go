@@ -14,9 +14,11 @@ import (
 // goroutines sharing a matrix) keeps asking for the factor of the same
 // matrix; the cache keys factors by a hash of the matrix pattern AND values
 // (same pattern with different values is a different system and must miss),
-// plus the backend name and the package ordering default — both change what
-// New would build. Entries are LRU-evicted against a byte budget sized by
-// the factors' real memory footprint.
+// plus the parsed selection — backend and ordering both change what New
+// would build. Entries are LRU-evicted against a byte budget sized by the
+// factors' real memory footprint. A cache is a value its owner holds and
+// hands to whatever factorises on its behalf (the dtmd worker, the dtmsolve
+// direct path); nothing consults one implicitly.
 //
 // Hits return the cached LocalSolver. That is safe to share across
 // goroutines because every backend's SolveTo/SolveBatchTo is reentrant —
@@ -62,15 +64,16 @@ func NewCache(budget int64) *Cache {
 	return &Cache{budget: budget, ll: list.New(), byKey: make(map[uint64]*list.Element)}
 }
 
-// GetOrFactor returns the cached factor of a under the named backend,
-// factoring and inserting on a miss. The boolean reports whether the call
-// was a hit. An empty backend name resolves to Default(); factorisation
-// errors are returned unchained and never cached.
-func (c *Cache) GetOrFactor(backend string, a *sparse.CSR) (LocalSolver, bool, error) {
-	if backend == "" {
-		backend = Default()
+// GetOrFactor returns the cached factor of a under the selection string sel
+// (as New takes it), factoring and inserting on a miss. The boolean reports
+// whether the call was a hit. Selection and factorisation errors are
+// returned unchained and never cached.
+func (c *Cache) GetOrFactor(sel string, a *sparse.CSR) (LocalSolver, bool, error) {
+	s, err := ParseSelection(sel)
+	if err != nil {
+		return nil, false, err
 	}
-	order := DefaultOrdering()
+	backend, order := s.Backend, s.Order
 	key := cacheKey(backend, order, a)
 
 	c.mu.Lock()
@@ -91,7 +94,7 @@ func (c *Cache) GetOrFactor(backend string, a *sparse.CSR) (LocalSolver, bool, e
 
 	// Factor outside the lock — a large factorisation must not serialise
 	// every concurrent cache user behind it.
-	sol, err := newRaw(backend, a)
+	sol, err := s.factor(a, MaxDenseBytes)
 	if err != nil {
 		return nil, false, err
 	}
@@ -128,6 +131,16 @@ func (c *Cache) removeLocked(el *list.Element) {
 	c.used -= e.bytes
 }
 
+// New factorises a under the selection string sel through the cache; a nil
+// cache factorises directly, exactly like the package-level New.
+func (c *Cache) New(sel string, a *sparse.CSR) (LocalSolver, error) {
+	if c == nil {
+		return New(sel, a)
+	}
+	s, _, err := c.GetOrFactor(sel, a)
+	return s, err
+}
+
 // Stats returns a snapshot of the cache's counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
@@ -144,8 +157,7 @@ func (c *Cache) Purge() {
 	c.mu.Unlock()
 }
 
-// cacheKey hashes the backend name, the resolved package ordering default and
-// the matrix — dimensions, pattern and value bits — with FNV-1a. Values are
+// cacheKey hashes the backend name, the selected ordering and the matrix — dimensions, pattern and value bits — with FNV-1a. Values are
 // part of the key by design: a refreshed system with the same sparsity must
 // refactor.
 func cacheKey(backend string, order Ordering, a *sparse.CSR) uint64 {
@@ -217,36 +229,4 @@ func entryBytes(s LocalSolver, a *sparse.CSR) int64 {
 	}
 	n := int64(s.Dim())
 	return 8*n*n + matrix
-}
-
-// Shared cache: when enabled, every factor.New routes through one
-// process-wide cache — the switch the dtmsolve -factorcache flag and the
-// crash-restart refactorisation path flip.
-var sharedCacheMu sync.RWMutex
-var sharedCacheC *Cache
-
-// EnableSharedCache installs (and returns) a process-wide factor cache with
-// the given byte budget that every subsequent New consults. Re-enabling
-// replaces the previous shared cache.
-func EnableSharedCache(budget int64) *Cache {
-	c := NewCache(budget)
-	sharedCacheMu.Lock()
-	sharedCacheC = c
-	sharedCacheMu.Unlock()
-	return c
-}
-
-// DisableSharedCache removes the process-wide cache; New factors directly
-// again.
-func DisableSharedCache() {
-	sharedCacheMu.Lock()
-	sharedCacheC = nil
-	sharedCacheMu.Unlock()
-}
-
-// SharedCache returns the process-wide cache, or nil when disabled.
-func SharedCache() *Cache {
-	sharedCacheMu.RLock()
-	defer sharedCacheMu.RUnlock()
-	return sharedCacheC
 }

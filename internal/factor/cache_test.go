@@ -39,9 +39,9 @@ func TestCacheHitMiss(t *testing.T) {
 	}
 }
 
-// TestCacheKeying pins the keying rules the issue calls out: the same
-// pattern with different values MUST miss, a different backend on the same
-// matrix MUST miss, and a value-identical copy of the matrix MUST hit.
+// TestCacheKeying pins the keying rules: the same pattern with different
+// values MUST miss, a different backend or ordering on the same matrix MUST
+// miss, and a value-identical copy of the matrix MUST hit.
 func TestCacheKeying(t *testing.T) {
 	sys := sparse.Poisson2D(12, 12, 0.05)
 	c := NewCache(0)
@@ -60,14 +60,23 @@ func TestCacheKeying(t *testing.T) {
 		t.Fatalf("different backend: hit=%v err=%v, want miss", hit, err)
 	}
 
+	// Different ordering, same backend and matrix: must miss.
+	if _, hit, err := c.GetOrFactor(SparseCholesky+",order=amd", sys.A); err != nil || hit {
+		t.Fatalf("different ordering: hit=%v err=%v, want miss", hit, err)
+	}
+
 	// A freshly built but value-identical matrix: must hit.
 	clone := sparse.Poisson2D(12, 12, 0.05)
 	if _, hit, err := c.GetOrFactor(SparseCholesky, clone.A); err != nil || !hit {
 		t.Fatalf("value-identical rebuild: hit=%v err=%v, want hit", hit, err)
 	}
+	// A non-canonical spelling of the same selection: must hit.
+	if _, hit, err := c.GetOrFactor(SparseCholesky+", order=auto", sys.A); err != nil || !hit {
+		t.Fatalf("non-canonical selection: hit=%v err=%v, want hit", hit, err)
+	}
 
-	if st := c.Stats(); st.Entries != 3 {
-		t.Fatalf("entries = %d, want 3", st.Entries)
+	if st := c.Stats(); st.Entries != 4 {
+		t.Fatalf("entries = %d, want 4", st.Entries)
 	}
 }
 
@@ -204,32 +213,39 @@ func errResidual(name string, r float64) error {
 	return fmt.Errorf("%s: residual %g after cached solve", name, r)
 }
 
-// TestSharedCache pins the process-wide hook: once enabled, factor.New routes
-// through the shared cache, and disabling restores direct factorisation.
-func TestSharedCache(t *testing.T) {
+// TestCacheSharedByOwner pins the held-value contract: two factorisations
+// through one cache share the factor, a nil cache factorises directly, and
+// the package-level New never consults a cache.
+func TestCacheSharedByOwner(t *testing.T) {
 	sys := sparse.Poisson2D(16, 16, 0.05)
-	c := EnableSharedCache(0)
-	defer DisableSharedCache()
-	s1, err := New(SparseCholesky, sys.A)
+	c := NewCache(0)
+	s1, err := c.New(SparseCholesky, sys.A)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := New(SparseCholesky, sys.A)
+	s2, err := c.New(SparseCholesky, sys.A)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s1 != s2 {
-		t.Fatal("factor.New did not serve the cached instance while the shared cache was enabled")
+		t.Fatal("Cache.New did not serve the cached instance")
 	}
-	if st := c.Stats(); st.Hits == 0 {
-		t.Fatalf("shared cache saw no hits: %+v", st)
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("cache stats %+v, want 1 hit and 1 miss", st)
 	}
-	DisableSharedCache()
 	s3, err := New(SparseCholesky, sys.A)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s3 == s1 {
-		t.Fatal("factor.New still served the cached instance after DisableSharedCache")
+	var none *Cache
+	s4, err := none.New(SparseCholesky, sys.A)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s3 == s1 || s4 == s1 || s3 == s4 {
+		t.Fatal("a factorisation outside the cache was served a shared instance")
+	}
+	if _, err := c.New("sparse-cholesky,order=metis", sys.A); err == nil {
+		t.Fatal("Cache.New accepted a malformed selection")
 	}
 }

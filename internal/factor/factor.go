@@ -2,9 +2,9 @@
 // direct subsystem solve in the repository: the factor-once/solve-many local
 // systems of DTM's subdomains (eq. 5.9 in the paper) and the diagonal blocks
 // of the block-Jacobi baselines all go through the LocalSolver interface and
-// the backend registry below.
+// the fixed backend table below.
 //
-// Registered backends:
+// Backends:
 //
 //   - "dense-cholesky" — dense.Cholesky after densification; the right choice
 //     for small blocks, O(n²) memory and O(n³) factor time.
@@ -32,22 +32,25 @@
 //     (dense-Cholesky → dense-LU for small blocks; both sparse roles are
 //     played by "sparse-supernodal" for blocks of ≥ 800 unknowns).
 //
-// Every backend is deterministic: for a fixed backend name and input matrix
-// the factor and all solves are byte-identical run over run, which the DES
-// determinism guarantees of internal/core rely on.
+// A selection string names a backend and, optionally, the fill-reducing
+// ordering its sparse factorisations use: "sparse-supernodal,order=nd" (see
+// ParseSelection). It is the only way to configure a factorisation — there is
+// no package default to change — so every caller that passes the same string
+// builds the same factor. Every backend is deterministic: for a fixed
+// selection and input matrix the factor and all solves are byte-identical run
+// over run, which the DES determinism guarantees of internal/core rely on.
 package factor
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/dense"
 	"repro/internal/sparse"
 )
 
-// Backend names understood by New. Auto is the package default.
+// Backend names understood by New. The empty selection means Auto.
 const (
 	DenseCholesky    = "dense-cholesky"
 	DenseLU          = "dense-lu"
@@ -74,10 +77,10 @@ var ErrDenseTooLarge = errors.New("factor: matrix too large to factorise densely
 
 // MaxDenseBytes caps the transient memory a dense factorisation may allocate:
 // densifying the matrix plus the factor and its cached transpose costs about
-// 24 bytes per n² entry. The default (2 GiB) admits every per-subdomain block
+// 24 bytes per n² entry. The cap (2 GiB) admits every per-subdomain block
 // of the paper's workloads while refusing the whole-system sizes the E6
 // scale-sparse experiment demonstrates the sparse backend on.
-var MaxDenseBytes int64 = 2 << 30
+const MaxDenseBytes int64 = 2 << 30
 
 // LocalSolver is the factor-once/solve-many contract every backend satisfies.
 // SolveTo must be deterministic, must tolerate x aliasing b, and must be
@@ -97,8 +100,10 @@ type LocalSolver interface {
 	Backend() string
 }
 
-// Factorizer builds a LocalSolver from a sparse matrix.
-type Factorizer func(a *sparse.CSR) (LocalSolver, error)
+// factorizer builds a LocalSolver from a sparse matrix under the given
+// fill-reducing ordering (ignored by the dense backends) and dense memory cap
+// (ignored by the sparse ones).
+type factorizer func(a *sparse.CSR, order Ordering, denseCap int64) (LocalSolver, error)
 
 // Solve is a convenience wrapper around SolveTo that allocates the solution.
 func Solve(s LocalSolver, b sparse.Vec) sparse.Vec {
@@ -107,96 +112,48 @@ func Solve(s LocalSolver, b sparse.Vec) sparse.Vec {
 	return x
 }
 
-var (
-	regMu          sync.RWMutex
-	registry       = map[string]Factorizer{}
-	defaultBackend = Auto
-)
-
-func init() {
-	Register(DenseCholesky, newDenseCholesky)
-	Register(DenseLU, newDenseLU)
-	Register(SparseCholesky, newSparseCholeskyBackend)
-	Register(SparseLDLT, newSparseLDLTBackend)
-	Register(SparseSupernodal, newSparseSupernodalBackend)
-	Register(Auto, newAuto)
+// backends is the fixed backend table behind New.
+var backends = map[string]factorizer{
+	DenseCholesky:    newDenseCholesky,
+	DenseLU:          newDenseLU,
+	SparseCholesky:   newSparseCholeskyBackend,
+	SparseLDLT:       newSparseLDLTBackend,
+	SparseSupernodal: newSparseSupernodalBackend,
+	Auto:             newAuto,
 }
 
-// Register adds (or replaces) a named backend.
-func Register(name string, f Factorizer) {
-	if name == "" || f == nil {
-		panic("factor: Register requires a name and a factorizer")
-	}
-	regMu.Lock()
-	registry[name] = f
-	regMu.Unlock()
-}
-
-// Known reports whether a backend name is registered.
+// Known reports whether a backend name is in the table.
 func Known(name string) bool {
-	regMu.RLock()
-	_, ok := registry[name]
-	regMu.RUnlock()
+	_, ok := backends[name]
 	return ok
 }
 
-// Backends returns the registered backend names in sorted order.
+// Backends returns the backend names in sorted order.
 func Backends() []string {
-	regMu.RLock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
+	names := make([]string, 0, len(backends))
+	for name := range backends {
 		names = append(names, name)
 	}
-	regMu.RUnlock()
 	sort.Strings(names)
 	return names
 }
 
-// Default returns the backend an empty selection resolves to.
-func Default() string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return defaultBackend
+// New factorises a under the selection string sel — a backend name with an
+// optional ordering, "sparse-supernodal,order=nd" (see ParseSelection). The
+// empty string selects "auto". The selection is the whole configuration: two
+// calls with the same sel and matrix build byte-identical factors in any
+// process, whatever else ran before them.
+func New(sel string, a *sparse.CSR) (LocalSolver, error) {
+	s, err := ParseSelection(sel)
+	if err != nil {
+		return nil, err
+	}
+	return s.factor(a, MaxDenseBytes)
 }
 
-// SetDefault changes the backend an empty selection resolves to (used by the
-// CLIs to steer every consumer at once).
-func SetDefault(name string) error {
-	if !Known(name) {
-		return fmt.Errorf("factor: unknown backend %q (have %v)", name, Backends())
-	}
-	regMu.Lock()
-	defaultBackend = name
-	regMu.Unlock()
-	return nil
-}
-
-// New factorises a with the named backend. An empty name selects Default().
-// When the process-wide factor cache is enabled (EnableSharedCache), New
-// consults it first and factors only on a miss — the factor-once/serve-many
-// path of repeated and concurrent workloads.
-func New(backend string, a *sparse.CSR) (LocalSolver, error) {
-	if backend == "" {
-		backend = Default()
-	}
-	if c := SharedCache(); c != nil {
-		s, _, err := c.GetOrFactor(backend, a)
-		return s, err
-	}
-	return newRaw(backend, a)
-}
-
-// newRaw factorises through the registry, bypassing the shared cache — the
-// path the cache itself (and the auto policy's internal fallback chain, which
-// must not populate the cache with doomed intermediate attempts) uses.
-func newRaw(backend string, a *sparse.CSR) (LocalSolver, error) {
-	regMu.RLock()
-	f, ok := registry[backend]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("factor: unknown backend %q (have %v)", backend, Backends())
-	}
-	return f(a)
+// factor builds the selected backend's factor of a under a dense memory cap.
+func (s Selection) factor(a *sparse.CSR, denseCap int64) (LocalSolver, error) {
+	return backends[s.Backend](a, s.Order, denseCap)
 }
 
 // DenseBytesNeeded returns the transient allocation an n×n dense
@@ -208,11 +165,14 @@ func DenseBytesNeeded(n int) int64 {
 
 // DenseFeasible reports (as a nil/non-nil error) whether an n×n dense
 // factorisation fits under MaxDenseBytes.
-func DenseFeasible(n int) error {
+func DenseFeasible(n int) error { return denseFeasible(n, MaxDenseBytes) }
+
+// denseFeasible is DenseFeasible under an explicit cap.
+func denseFeasible(n int, denseCap int64) error {
 	need := DenseBytesNeeded(n)
-	if need > MaxDenseBytes {
+	if need > denseCap {
 		return fmt.Errorf("%w: n=%d would need ~%.1f GiB, cap is %.1f GiB",
-			ErrDenseTooLarge, n, float64(need)/(1<<30), float64(MaxDenseBytes)/(1<<30))
+			ErrDenseTooLarge, n, float64(need)/(1<<30), float64(denseCap)/(1<<30))
 	}
 	return nil
 }
@@ -240,8 +200,8 @@ func (s denseLUSolver) FactorBytes() int64 {
 	return 16 * n * n
 }
 
-func newDenseCholesky(a *sparse.CSR) (LocalSolver, error) {
-	if err := DenseFeasible(a.Rows()); err != nil {
+func newDenseCholesky(a *sparse.CSR, _ Ordering, denseCap int64) (LocalSolver, error) {
+	if err := denseFeasible(a.Rows(), denseCap); err != nil {
 		return nil, err
 	}
 	c, err := dense.NewCholeskyCSR(a)
@@ -251,8 +211,8 @@ func newDenseCholesky(a *sparse.CSR) (LocalSolver, error) {
 	return denseCholSolver{c}, nil
 }
 
-func newDenseLU(a *sparse.CSR) (LocalSolver, error) {
-	if err := DenseFeasible(a.Rows()); err != nil {
+func newDenseLU(a *sparse.CSR, _ Ordering, denseCap int64) (LocalSolver, error) {
+	if err := denseFeasible(a.Rows(), denseCap); err != nil {
 		return nil, err
 	}
 	lu, err := dense.NewLUCSR(a)
@@ -262,20 +222,19 @@ func newDenseLU(a *sparse.CSR) (LocalSolver, error) {
 	return denseLUSolver{lu}, nil
 }
 
-func newSparseCholeskyBackend(a *sparse.CSR) (LocalSolver, error) {
-	return NewCholesky(a, DefaultOrdering())
+func newSparseCholeskyBackend(a *sparse.CSR, order Ordering, _ int64) (LocalSolver, error) {
+	return NewCholesky(a, order)
 }
 
-func newSparseLDLTBackend(a *sparse.CSR) (LocalSolver, error) {
-	return NewLDLT(a, DefaultOrdering())
+func newSparseLDLTBackend(a *sparse.CSR, order Ordering, _ int64) (LocalSolver, error) {
+	return NewLDLT(a, order)
 }
 
 // newSparseSupernodalBackend covers both symmetric factorisations with one
 // name: Cholesky when the matrix turns out SPD, LDLᵀ otherwise. A non-positive
 // diagonal entry proves non-positive-definiteness up front (xᵀAx ≤ 0 for a
 // unit vector), so that case skips the doomed Cholesky attempt entirely.
-func newSparseSupernodalBackend(a *sparse.CSR) (LocalSolver, error) {
-	order := DefaultOrdering()
+func newSparseSupernodalBackend(a *sparse.CSR, order Ordering, _ int64) (LocalSolver, error) {
 	if !hasPosDiag(a) {
 		return NewSupernodal(a, order, ModeLDLT)
 	}
@@ -317,8 +276,8 @@ const (
 // block with the given nnz sparsely (either because a dense factor cannot be
 // allocated at all, or because the block is large and sparse enough that the
 // sparse kernels win).
-func autoPicksSparse(n, nnz int) bool {
-	if DenseFeasible(n) != nil {
+func autoPicksSparse(n, nnz int, denseCap int64) bool {
+	if denseFeasible(n, denseCap) != nil {
 		return true
 	}
 	if n < autoSparseMinDim {
@@ -335,28 +294,28 @@ func autoPicksSparse(n, nnz int) bool {
 // is both huge and merely SNND factorises sparsely instead of dying at
 // ErrDenseTooLarge; on the dense path (small blocks) it stays dense-Cholesky
 // → dense LU.
-func newAuto(a *sparse.CSR) (LocalSolver, error) {
+func newAuto(a *sparse.CSR, order Ordering, denseCap int64) (LocalSolver, error) {
 	n := a.Rows()
-	sparsePath := autoPicksSparse(n, a.NNZ())
+	sparsePath := autoPicksSparse(n, a.NNZ(), denseCap)
 	if sparsePath && n >= autoSupernodalMinDim {
 		// The supernodal backend runs its own Cholesky → LDLᵀ chain; only a
 		// numerically singular block (zero diagonal pivots) falls out, and
 		// dense LU's row pivoting is the last resort for those.
-		s, err := newRaw(SparseSupernodal, a)
+		s, err := newSparseSupernodalBackend(a, order, denseCap)
 		if err == nil {
 			return s, nil
 		}
-		lu, luErr := newRaw(DenseLU, a)
+		lu, luErr := newDenseLU(a, order, denseCap)
 		if luErr != nil {
 			return nil, fmt.Errorf("factor: auto fallback after %v: %w", err, luErr)
 		}
 		return lu, nil
 	}
-	chol := DenseCholesky
+	chol := newDenseCholesky
 	if sparsePath {
-		chol = SparseCholesky
+		chol = newSparseCholeskyBackend
 	}
-	s, err := newRaw(chol, a)
+	s, err := chol(a, order, denseCap)
 	if err == nil {
 		return s, nil
 	}
@@ -366,7 +325,7 @@ func newAuto(a *sparse.CSR) (LocalSolver, error) {
 	// The block is at best SNND. On the sparse path try LDLᵀ first: same
 	// sparse cost model, no definiteness requirement.
 	if sparsePath {
-		ldlt, lErr := newRaw(SparseLDLT, a)
+		ldlt, lErr := newSparseLDLTBackend(a, order, denseCap)
 		if lErr == nil {
 			return ldlt, nil
 		}
@@ -374,7 +333,7 @@ func newAuto(a *sparse.CSR) (LocalSolver, error) {
 		// row pivoting can still succeed where diagonal pivots cannot.
 		err = fmt.Errorf("%v; sparse-ldlt: %w", err, lErr)
 	}
-	lu, luErr := newRaw(DenseLU, a)
+	lu, luErr := newDenseLU(a, order, denseCap)
 	if luErr != nil {
 		return nil, fmt.Errorf("factor: auto fallback after %v: %w", err, luErr)
 	}

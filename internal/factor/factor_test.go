@@ -19,12 +19,6 @@ func TestBackendsRegistered(t *testing.T) {
 	if _, err := New("no-such-backend", sparse.Identity(3)); err == nil {
 		t.Error("New accepted an unregistered backend")
 	}
-	if got := Default(); got != Auto {
-		t.Errorf("Default() = %q, want %q", got, Auto)
-	}
-	if err := SetDefault("no-such-backend"); err == nil {
-		t.Error("SetDefault accepted an unregistered backend")
-	}
 }
 
 // TestAutoFallsBackToLUOnNonSPD is the regression test for the deduplicated
@@ -119,26 +113,27 @@ func TestDenseGuard(t *testing.T) {
 // ErrDenseTooLarge. With the chain sparse-Cholesky → sparse-LDLᵀ → dense LU
 // the same block factorises sparsely.
 func TestAutoRoutesLargeNonSPDToSparseLDLT(t *testing.T) {
-	// Shrink the dense cap so "beyond the dense memory wall" is cheap to
-	// reach: with a 1 MiB cap, DenseFeasible fails above n = 209.
-	saved := MaxDenseBytes
-	MaxDenseBytes = 1 << 20
-	defer func() { MaxDenseBytes = saved }()
+	// Lower the dense cap so "beyond the dense memory wall" is cheap to
+	// reach: with a 1 MiB cap, dense factorisation fails above n = 209.
+	const denseCap = 1 << 20
+	capped := func(backend string, a *sparse.CSR) (LocalSolver, error) {
+		return Selection{Backend: backend, Order: OrderAuto}.factor(a, denseCap)
+	}
 
 	sys := sparse.SaddlePoisson2D(20, 20, 1e-2) // n = 420, indefinite
 	n := sys.Dim()
-	if DenseFeasible(n) == nil {
+	if denseFeasible(n, denseCap) == nil {
 		t.Fatalf("test setup: n=%d should be past the lowered dense cap", n)
 	}
-	if _, err := New(SparseCholesky, sys.A); !errors.Is(err, ErrNotPositiveDefinite) {
+	if _, err := capped(SparseCholesky, sys.A); !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Fatalf("sparse Cholesky on the saddle system: %v, want ErrNotPositiveDefinite", err)
 	}
 	// The old chain's landing spot, dense LU, is infeasible at this cap …
-	if _, err := New(DenseLU, sys.A); !errors.Is(err, ErrDenseTooLarge) {
+	if _, err := capped(DenseLU, sys.A); !errors.Is(err, ErrDenseTooLarge) {
 		t.Fatalf("dense LU at the lowered cap: %v, want ErrDenseTooLarge", err)
 	}
 	// … but auto now routes to the sparse LDLᵀ and solves.
-	s, err := New(Auto, sys.A)
+	s, err := capped(Auto, sys.A)
 	if err != nil {
 		t.Fatalf("Auto on a large non-SPD block: %v", err)
 	}

@@ -2,7 +2,6 @@ package factor
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/sparse"
 )
@@ -53,7 +52,7 @@ func (o Ordering) String() string {
 }
 
 // ParseOrdering maps an ordering's short name (as printed by String) back to
-// the Ordering — the CLI flag parser.
+// the Ordering — the parser behind a selection's order= key.
 func ParseOrdering(name string) (Ordering, error) {
 	switch name {
 	case "natural":
@@ -69,32 +68,6 @@ func ParseOrdering(name string) (Ordering, error) {
 	default:
 		return 0, fmt.Errorf("factor: unknown ordering %q (have natural, rcm, amd, nd, auto)", name)
 	}
-}
-
-var (
-	ordMu           sync.RWMutex
-	defaultOrdering = OrderAuto
-)
-
-// DefaultOrdering returns the ordering the registered sparse backends use.
-func DefaultOrdering() Ordering {
-	ordMu.RLock()
-	defer ordMu.RUnlock()
-	return defaultOrdering
-}
-
-// SetDefaultOrdering changes the ordering every registered sparse backend
-// uses (the CLIs' -ordering flag steers every consumer at once, the same way
-// SetDefault steers the backend choice). Constructing a backend directly via
-// NewCholesky/NewLDLT/NewSupernodal still takes an explicit Ordering.
-func SetDefaultOrdering(o Ordering) error {
-	if o < OrderNatural || o > OrderAuto {
-		return fmt.Errorf("factor: unknown ordering %d", o)
-	}
-	ordMu.Lock()
-	defaultOrdering = o
-	ordMu.Unlock()
-	return nil
 }
 
 // OrderAuto policy thresholds. The 5-point and 7-point stencils of the grid

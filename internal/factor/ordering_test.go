@@ -79,37 +79,33 @@ func TestParseOrderingRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSetDefaultOrderingSteersRegisteredBackends checks the CLI hook: after
-// SetDefaultOrdering(OrderND) the registry backends factorise under ND, and
-// the default restores to auto.
-func TestSetDefaultOrderingSteersRegisteredBackends(t *testing.T) {
-	if DefaultOrdering() != OrderAuto {
-		t.Fatalf("default ordering is %v at test start, want auto", DefaultOrdering())
-	}
-	if err := SetDefaultOrdering(OrderND); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := SetDefaultOrdering(OrderAuto); err != nil {
+// TestSelectionOrderSteersBackends checks that a selection's order= key
+// reaches the sparse backends, and that it is per call: the same matrix
+// factorised under the bare backend name right afterwards is ordered by the
+// auto policy again.
+func TestSelectionOrderSteersBackends(t *testing.T) {
+	sys := sparse.Poisson2D(24, 24, 0.05)
+	ordered := func(sel string) Ordering {
+		t.Helper()
+		s, err := New(sel, sys.A)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}()
-	sys := sparse.Poisson2D(24, 24, 0.05)
-	s, err := New(SparseCholesky, sys.A)
-	if err != nil {
-		t.Fatal(err)
+		switch f := s.(type) {
+		case *Cholesky:
+			return f.Ordering()
+		case *Supernodal:
+			return f.Ordering()
+		}
+		t.Fatalf("%s built a %T", sel, s)
+		return 0
 	}
-	if ord := s.(*Cholesky).Ordering(); ord != OrderND {
-		t.Errorf("sparse-cholesky factorised under %v after SetDefaultOrdering(nd)", ord)
-	}
-	sn, err := New(SparseSupernodal, sys.A)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ord := sn.(*Supernodal).Ordering(); ord != OrderND {
-		t.Errorf("sparse-supernodal factorised under %v after SetDefaultOrdering(nd)", ord)
-	}
-	if err := SetDefaultOrdering(Ordering(99)); err == nil {
-		t.Error("SetDefaultOrdering accepted an unknown ordering")
+	for _, backend := range []string{SparseCholesky, SparseSupernodal} {
+		if ord := ordered(backend + ",order=nd"); ord != OrderND {
+			t.Errorf("%s,order=nd factorised under %v", backend, ord)
+		}
+		if ord := ordered(backend); ord != OrderRCM {
+			t.Errorf("%s after an order=nd call factorised under %v, want the auto pick rcm", backend, ord)
+		}
 	}
 }

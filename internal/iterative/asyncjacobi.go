@@ -31,8 +31,8 @@ type AsyncOptions struct {
 	RecordTrace bool
 	// ProcMap maps blocks to processors (identity when nil).
 	ProcMap []int
-	// LocalSolver selects the internal/factor backend the diagonal blocks are
-	// factorised with; empty selects the package default.
+	// LocalSolver is the factor selection the diagonal blocks are factorised
+	// with (see Config.LocalSolver); empty selects "auto".
 	LocalSolver string
 }
 

@@ -33,10 +33,10 @@ type extCoupling struct {
 }
 
 // buildBlocks prepares the block-Jacobi data for every part of an assignment.
-// backend names the internal/factor backend that factorises every diagonal
-// block (empty for the package default, whose auto policy keeps the classic
-// Cholesky → LU fallback for non-SPD blocks).
-func buildBlocks(a *sparse.CSR, b sparse.Vec, assign partition.Assignment, backend string) ([]*blockData, error) {
+// sel is the factor selection that factorises every diagonal block (empty for
+// "auto", whose policy keeps the classic Cholesky → LU fallback for non-SPD
+// blocks).
+func buildBlocks(a *sparse.CSR, b sparse.Vec, assign partition.Assignment, sel string) ([]*blockData, error) {
 	n := a.Rows()
 	if len(assign.Assign) != n {
 		return nil, fmt.Errorf("iterative: assignment covers %d vertices, matrix has %d", len(assign.Assign), n)
@@ -82,7 +82,7 @@ func buildBlocks(a *sparse.CSR, b sparse.Vec, assign partition.Assignment, backe
 			})
 		}
 		local := coo.ToCSR()
-		solver, err := factor.New(backend, local)
+		solver, err := factor.New(sel, local)
 		if err != nil {
 			return nil, fmt.Errorf("iterative: factorising diagonal block of part %d: %w", p, err)
 		}

@@ -73,20 +73,12 @@ func TestBlockJacobiExplicitBackends(t *testing.T) {
 		}
 	}
 
-	// The same sweep with the package default ordering forced to nested
-	// dissection: every sparse backend must still converge to the same
-	// solution (the ordering changes the factors, not the algebra).
-	if err := factor.SetDefaultOrdering(factor.OrderND); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := factor.SetDefaultOrdering(factor.OrderAuto); err != nil {
-			t.Fatal(err)
-		}
-	}()
+	// The same sweep with the ordering selected as nested dissection: every
+	// sparse backend must still converge to the same solution (the ordering
+	// changes the factors, not the algebra).
 	for _, backend := range []string{factor.SparseCholesky, factor.SparseSupernodal} {
 		x, st, err := BlockJacobi(sys.A, sys.B, assign, Config{
-			MaxIterations: 4000, Tol: 1e-10, LocalSolver: backend,
+			MaxIterations: 4000, Tol: 1e-10, LocalSolver: backend + ",order=nd",
 		})
 		if err != nil {
 			t.Fatalf("%s under nd ordering: %v", backend, err)

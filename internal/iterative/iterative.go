@@ -36,11 +36,11 @@ type Config struct {
 	Tol float64
 	// Exact, when non-nil, records an RMS-error trace.
 	Exact sparse.Vec
-	// LocalSolver selects the internal/factor backend the block methods
-	// factorise their diagonal blocks with ("dense-cholesky", "dense-lu",
-	// "sparse-cholesky", "sparse-ldlt", "sparse-supernodal" or "auto"); empty
-	// selects the package default. The point methods (Jacobi, Gauss-Seidel,
-	// SOR, CG) ignore it.
+	// LocalSolver is the factor selection the block methods factorise their
+	// diagonal blocks with: a backend ("dense-cholesky", "dense-lu",
+	// "sparse-cholesky", "sparse-ldlt", "sparse-supernodal" or "auto") with an
+	// optional ",order=" (see factor.ParseSelection); empty selects "auto".
+	// The point methods (Jacobi, Gauss-Seidel, SOR, CG) ignore it.
 	LocalSolver string
 }
 

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"errors"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"os"
@@ -9,6 +10,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/geom"
 )
 
 // TestParseSourceCanonicalRoundTrip: every accepted spelling canonicalises
@@ -49,20 +52,20 @@ func TestParseSourceCanonicalRoundTrip(t *testing.T) {
 
 func TestParseSourceRejectsMalformed(t *testing.T) {
 	bad := []string{
-		"",                      // no scheme
-		"grid",                  // no colon
-		"nosuch:n=3",            // unknown scheme
-		"grid:rows",             // not key=value
-		"grid:rows=0",           // out of range
-		"grid:rows=99999999",    // over the side cap
-		"grid:bogus=1",          // unknown key
-		"saddle:gamma=-1",       // gamma must be positive
-		"saddle:gamma=nan",      // NaN rejected
-		"spanner:k=65",          // cone cap
-		"spanner:leak=0",        // leak must be positive
-		"mm:/tmp/a.mtx",         // missing hash
-		"mm:@0011223344556677",  // empty path
-		"mm:/tmp/a.mtx@123",     // hash too short
+		"",                               // no scheme
+		"grid",                           // no colon
+		"nosuch:n=3",                     // unknown scheme
+		"grid:rows",                      // not key=value
+		"grid:rows=0",                    // out of range
+		"grid:rows=99999999",             // over the side cap
+		"grid:bogus=1",                   // unknown key
+		"saddle:gamma=-1",                // gamma must be positive
+		"saddle:gamma=nan",               // NaN rejected
+		"spanner:k=65",                   // cone cap
+		"spanner:leak=0",                 // leak must be positive
+		"mm:/tmp/a.mtx",                  // missing hash
+		"mm:@0011223344556677",           // empty path
+		"mm:/tmp/a.mtx@123",              // hash too short
 		"mm:/tmp/a.mtx@zzzzzzzzzzzzzzzz", // not hex
 	}
 	for _, in := range bad {
@@ -240,10 +243,53 @@ func TestYaoSpannerLaplacianStructure(t *testing.T) {
 // directed picks themselves.
 func TestYaoSpannerOutDegreeBound(t *testing.T) {
 	const n, k = 80, 4
-	pts := yaoSpannerPoints(rand.New(rand.NewSource(11)), n)
-	for i, ps := range yaoSpannerPicks(pts, k) {
+	pts := geom.UnitSquare(rand.New(rand.NewSource(11)), n)
+	for i, ps := range geom.YaoPicks(pts, k) {
 		if len(ps) > k {
 			t.Fatalf("node %d has %d directed Yao picks, bound is k=%d", i, len(ps), k)
+		}
+	}
+}
+
+// TestYaoSpannerLaplacianBytesPinned pins spanner systems, bit for bit, to
+// an FNV-64a hash of their CSR rows (lengths, columns, value bits) and
+// right-hand side. The k=1 system starts as a nearest-neighbour forest, so
+// the pin covers the connectivity patching too.
+func TestYaoSpannerLaplacianBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		n, k int
+		seed int64
+		want uint64
+	}{
+		{4000, 6, 1, 0x7cd6978b6bc8f68a},
+		{300, 1, 2, 0xe2b5f61e79b301a3},
+	} {
+		if testing.Short() && tc.n > 1000 {
+			continue // O(n²) build
+		}
+		sys := YaoSpannerLaplacian(tc.n, tc.k, tc.seed, 0.05)
+		h := fnv.New64a()
+		var buf [8]byte
+		put := func(v uint64) {
+			for i := range buf {
+				buf[i] = byte(v >> (8 * i))
+			}
+			h.Write(buf[:])
+		}
+		put(uint64(sys.A.Rows()))
+		for i := 0; i < sys.A.Rows(); i++ {
+			cols, vals := sys.A.RowView(i)
+			put(uint64(len(cols)))
+			for k, j := range cols {
+				put(uint64(j))
+				put(math.Float64bits(vals[k]))
+			}
+		}
+		for _, v := range sys.B {
+			put(math.Float64bits(v))
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("YaoSpannerLaplacian(%d,%d,%d,0.05) hash %#x, want %#x", tc.n, tc.k, tc.seed, got, tc.want)
 		}
 	}
 }

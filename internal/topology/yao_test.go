@@ -1,10 +1,14 @@
 package topology
 
 import (
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/geom"
 )
 
 // TestYaoMeshConnectivity: every processor can reach every other processor
@@ -30,8 +34,8 @@ func TestYaoMeshConnectivity(t *testing.T) {
 // one neighbour per cone, so its directed out-degree is at most k.
 func TestYaoMeshOutDegree(t *testing.T) {
 	const n, k = 60, 5
-	pts := yaoPoints(n, 3)
-	picks := yaoPicks(pts, k)
+	pts := geom.UnitSquare(rand.New(rand.NewSource(3)), n)
+	picks := geom.YaoPicks(pts, k)
 	if len(picks) != n {
 		t.Fatalf("picks for %d nodes, want %d", len(picks), n)
 	}
@@ -69,6 +73,37 @@ func TestYaoMeshDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		if a[i].From != b[i].From || a[i].To != b[i].To ||
 			math.Float64bits(a[i].Delay) != math.Float64bits(b[i].Delay) {
 			t.Fatalf("link %d differs across GOMAXPROCS: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestYaoMeshBytesPinned pins fabrics' link delays, bit for bit, to an
+// FNV-64a hash of the n×n delay table. The k=1 fabric (a nearest-neighbour
+// forest) needs three connectivity patches, so the pin covers the patch
+// path as well as the plain picks.
+func TestYaoMeshBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		n, k int
+		seed int64
+		want uint64
+	}{
+		{16, 6, 1108, 0x6b27a468d84a2019},
+		{16, 1, 1, 0x26ce2d3f2d0ee9c1},
+	} {
+		tp := YaoMesh(tc.n, tc.k, tc.seed, 10)
+		h := fnv.New64a()
+		var buf [8]byte
+		for a := 0; a < tp.N(); a++ {
+			for b := 0; b < tp.N(); b++ {
+				v := math.Float64bits(tp.LinkDelay(a, b))
+				for i := range buf {
+					buf[i] = byte(v >> (8 * i))
+				}
+				h.Write(buf[:])
+			}
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("YaoMesh(%d,%d,%d,10) delay hash %#x, want %#x", tc.n, tc.k, tc.seed, got, tc.want)
 		}
 	}
 }
