@@ -71,21 +71,18 @@ func (e *HashMismatchError) Is(target error) bool { return target == ErrHashMism
 // parseSourceFunc parses the parameter part of a spec (after "scheme:").
 type parseSourceFunc func(params string) (Source, error)
 
-var sourceRegistry = map[string]parseSourceFunc{}
-
-// RegisterSource adds a source scheme to the registry. It panics on a
-// duplicate (registration is an init-time affair).
-func RegisterSource(scheme string, parse parseSourceFunc) {
-	if _, dup := sourceRegistry[scheme]; dup {
-		panic(fmt.Sprintf("sparse: duplicate source scheme %q", scheme))
-	}
-	sourceRegistry[scheme] = parse
+// sources is the fixed scheme table behind ParseSource.
+var sources = map[string]parseSourceFunc{
+	"grid":    parseGridSource,
+	"saddle":  parseSaddleSource,
+	"spanner": parseSpannerSource,
+	"mm":      parseMMSource,
 }
 
-// RegisteredSources returns the registered scheme names, sorted.
+// RegisteredSources returns the scheme names, sorted.
 func RegisteredSources() []string {
-	names := make([]string, 0, len(sourceRegistry))
-	for name := range sourceRegistry {
+	names := make([]string, 0, len(sources))
+	for name := range sources {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -100,7 +97,7 @@ func ParseSource(spec string) (Source, error) {
 		return nil, fmt.Errorf("sparse: source spec %q is not scheme:params (have %s)",
 			spec, strings.Join(RegisteredSources(), ", "))
 	}
-	parse, known := sourceRegistry[scheme]
+	parse, known := sources[scheme]
 	if !known {
 		return nil, fmt.Errorf("sparse: unknown source scheme %q (have %s)",
 			scheme, strings.Join(RegisteredSources(), ", "))
@@ -358,60 +355,61 @@ const (
 	maxUnknowns = 1 << 24
 )
 
-func init() {
-	RegisterSource("grid", func(params string) (Source, error) {
-		s := GridSource{Rows: 17, Cols: 17, Seed: 1}
-		err := parseSourceKV(params, map[string]kvField{
-			"rows": intField(&s.Rows, 1, maxSide),
-			"cols": intField(&s.Cols, 1, maxSide),
-			"seed": int64Field(&s.Seed),
-		})
-		if err != nil {
-			return nil, err
-		}
-		return s, s.validate()
+func parseGridSource(params string) (Source, error) {
+	s := GridSource{Rows: 17, Cols: 17, Seed: 1}
+	err := parseSourceKV(params, map[string]kvField{
+		"rows": intField(&s.Rows, 1, maxSide),
+		"cols": intField(&s.Cols, 1, maxSide),
+		"seed": int64Field(&s.Seed),
 	})
-	RegisterSource("saddle", func(params string) (Source, error) {
-		s := SaddleSource{NX: 16, NY: 16, Gamma: 0.01}
-		err := parseSourceKV(params, map[string]kvField{
-			"nx":    intField(&s.NX, 1, maxSide),
-			"ny":    intField(&s.NY, 1, maxSide),
-			"gamma": floatField(&s.Gamma, 1e-12, 1e6),
-		})
-		if err != nil {
-			return nil, err
-		}
-		return s, s.validate()
+	if err != nil {
+		return nil, err
+	}
+	return s, s.validate()
+}
+
+func parseSaddleSource(params string) (Source, error) {
+	s := SaddleSource{NX: 16, NY: 16, Gamma: 0.01}
+	err := parseSourceKV(params, map[string]kvField{
+		"nx":    intField(&s.NX, 1, maxSide),
+		"ny":    intField(&s.NY, 1, maxSide),
+		"gamma": floatField(&s.Gamma, 1e-12, 1e6),
 	})
-	RegisterSource("spanner", func(params string) (Source, error) {
-		s := SpannerSource{N: 289, K: 6, Seed: 1, Leak: 0.05}
-		err := parseSourceKV(params, map[string]kvField{
-			"n":    intField(&s.N, 1, maxUnknowns),
-			"k":    intField(&s.K, 1, 64),
-			"seed": int64Field(&s.Seed),
-			"leak": floatField(&s.Leak, 1e-12, 1e6),
-		})
-		if err != nil {
-			return nil, err
-		}
-		return s, s.validate()
+	if err != nil {
+		return nil, err
+	}
+	return s, s.validate()
+}
+
+func parseSpannerSource(params string) (Source, error) {
+	s := SpannerSource{N: 289, K: 6, Seed: 1, Leak: 0.05}
+	err := parseSourceKV(params, map[string]kvField{
+		"n":    intField(&s.N, 1, maxUnknowns),
+		"k":    intField(&s.K, 1, 64),
+		"seed": int64Field(&s.Seed),
+		"leak": floatField(&s.Leak, 1e-12, 1e6),
 	})
-	RegisterSource("mm", func(params string) (Source, error) {
-		at := strings.LastIndex(params, "@")
-		if at < 0 {
-			return nil, fmt.Errorf("mm source wants path@fnv64hash")
-		}
-		path, hexHash := params[:at], params[at+1:]
-		if path == "" {
-			return nil, fmt.Errorf("mm source has an empty path")
-		}
-		if len(hexHash) != 16 {
-			return nil, fmt.Errorf("mm hash %q must be exactly 16 hex digits", hexHash)
-		}
-		h, err := strconv.ParseUint(hexHash, 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("mm hash %q: %w", hexHash, err)
-		}
-		return MMSource{Path: path, Hash: h}, nil
-	})
+	if err != nil {
+		return nil, err
+	}
+	return s, s.validate()
+}
+
+func parseMMSource(params string) (Source, error) {
+	at := strings.LastIndex(params, "@")
+	if at < 0 {
+		return nil, fmt.Errorf("mm source wants path@fnv64hash")
+	}
+	path, hexHash := params[:at], params[at+1:]
+	if path == "" {
+		return nil, fmt.Errorf("mm source has an empty path")
+	}
+	if len(hexHash) != 16 {
+		return nil, fmt.Errorf("mm hash %q must be exactly 16 hex digits", hexHash)
+	}
+	h, err := strconv.ParseUint(hexHash, 16, 64)
+	if err != nil {
+		return nil, fmt.Errorf("mm hash %q: %w", hexHash, err)
+	}
+	return MMSource{Path: path, Hash: h}, nil
 }

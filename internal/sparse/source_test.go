@@ -253,8 +253,9 @@ func TestYaoSpannerOutDegreeBound(t *testing.T) {
 
 // TestYaoSpannerLaplacianBytesPinned pins spanner systems, bit for bit, to
 // an FNV-64a hash of their CSR rows (lengths, columns, value bits) and
-// right-hand side. The k=1 system starts as a nearest-neighbour forest, so
-// the pin covers the connectivity patching too.
+// right-hand side. The k=1 systems start as nearest-neighbour forests, so
+// the pins cover the connectivity patching too (n=2000 needs hundreds of
+// links).
 func TestYaoSpannerLaplacianBytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		n, k int
@@ -263,10 +264,8 @@ func TestYaoSpannerLaplacianBytesPinned(t *testing.T) {
 	}{
 		{4000, 6, 1, 0x7cd6978b6bc8f68a},
 		{300, 1, 2, 0xe2b5f61e79b301a3},
+		{2000, 1, 3, 0xc6f0a9f59d894d89},
 	} {
-		if testing.Short() && tc.n > 1000 {
-			continue // O(n²) build
-		}
 		sys := YaoSpannerLaplacian(tc.n, tc.k, tc.seed, 0.05)
 		h := fnv.New64a()
 		var buf [8]byte
