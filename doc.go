@@ -27,8 +27,9 @@
 //     sweeps k right-hand sides as one batched panel (SolveBatchTo,
 //     byte-identical per RHS to k scalar sweeps; the supernodal panels run
 //     the packed rank-k kernels — an AVX microkernel on amd64), the
-//     supernodal backend level-schedules a single large triangular solve
-//     across elimination-tree level sets, and a concurrency-safe LRU factor
+//     supernodal backend can level-schedule a single large triangular solve
+//     across elimination-tree level sets (SolveLevelTo; SolveTo always runs
+//     the register-blocked sequential sweep), and a concurrency-safe LRU factor
 //     cache (pattern+values keyed, byte-budgeted), held by its owner — the
 //     dtmd worker across sessions, dtmsolve's direct path — serves repeated
 //     factorisations;

@@ -97,13 +97,12 @@ type SolveThroughputSystem struct {
 	Batch []SolveThroughputBatchRow
 
 	// The level-scheduled parallel solve leg, single RHS.
-	GOMAXPROCS  int
-	ParEligible bool    // the factor is large enough to route to the level schedule
-	Levels      int     // level sets of the supernodal etree
-	SeqMS       float64 // sequential two-sweep substitution
-	ParMS       float64 // level-scheduled substitution
-	ParSpeedup  float64
-	ParExact    bool // parallel result byte-identical to sequential
+	GOMAXPROCS int
+	Levels     int     // level sets of the supernodal etree
+	SeqMS      float64 // sequential two-sweep substitution
+	ParMS      float64 // level-scheduled substitution
+	ParSpeedup float64
+	ParExact   bool // parallel result byte-identical to sequential
 
 	Conc []SolveThroughputConcRow
 }
@@ -192,7 +191,6 @@ func SolveThroughput(p SolveThroughputParams) (*SolveThroughputResult, error) {
 		// sweep — byte-checked, since the schedule must not change a single
 		// rounding. On a single-CPU host the speedup honestly reports ~1×;
 		// the byte check and the level structure are machine-independent.
-		row.ParEligible = sn.ParallelSolveEligible()
 		row.Levels = sn.SolveLevels()
 		b1 := B[0]
 		xSeq, xPar := sparse.NewVec(n), sparse.NewVec(n)
@@ -261,16 +259,12 @@ func (r *SolveThroughputResult) Render(w io.Writer) error {
 			fmt.Fprintf(w, "  %6d %10.3fms %10.3fms %14.0f %14.0f %8.2fx\n",
 				b.K, b.ScalarMS, b.BatchMS, b.ScalarPerSec, b.BatchPerSec, b.Speedup)
 		}
-		elig := "routed"
-		if !s.ParEligible {
-			elig = "below the size gate, forced"
-		}
 		exact := "byte-identical"
 		if !s.ParExact {
 			exact = "DIVERGED"
 		}
-		fmt.Fprintf(w, "  level solve (%d levels, %s, GOMAXPROCS=%d): seq %.3fms, level %.3fms = %.2fx, %s\n",
-			s.Levels, elig, s.GOMAXPROCS, s.SeqMS, s.ParMS, s.ParSpeedup, exact)
+		fmt.Fprintf(w, "  level solve (%d levels, GOMAXPROCS=%d): seq %.3fms, level %.3fms = %.2fx, %s\n",
+			s.Levels, s.GOMAXPROCS, s.SeqMS, s.ParMS, s.ParSpeedup, exact)
 		for _, c := range s.Conc {
 			hit := "all cache hits"
 			if !c.CacheHit {

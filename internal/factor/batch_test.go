@@ -126,9 +126,9 @@ func TestSolveBatchAliasing(t *testing.T) {
 }
 
 // TestLevelSolveAgreement pins byte-identity of the level-scheduled solve
-// against the sequential sweep at GOMAXPROCS 1 and 4, on a factor large
-// enough that SolveTo routes to the parallel path (the 128² ND factor, the
-// E8 acceptance system) and on a smaller LDLᵀ factor driven explicitly.
+// against the sequential sweep at GOMAXPROCS 1 and 4, on the 128² ND factor
+// (the E8 acceptance system) and on a smaller LDLᵀ factor. SolveTo, which
+// always runs the sequential sweep, must agree too.
 func TestLevelSolveAgreement(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -160,26 +160,37 @@ func TestLevelSolveAgreement(t *testing.T) {
 					t.Fatalf("GOMAXPROCS=%d: level-scheduled solve differs from sequential", procs)
 				}
 				got2 := sparse.NewVec(n)
-				s.SolveTo(got2, b) // the auto dispatch must agree too
+				s.SolveTo(got2, b)
 				if !vecsEqual(got2, want) {
-					t.Fatalf("GOMAXPROCS=%d: SolveTo dispatch differs from sequential", procs)
+					t.Fatalf("GOMAXPROCS=%d: SolveTo differs from sequential", procs)
 				}
 			}
 		})
 	}
 }
 
-// TestLevelSolveRouting pins the dispatch policy: the 128² ND factor is
-// large enough to route to the level schedule, and its level sets must cover
-// every supernode exactly once.
+// TestLevelSolveRouting pins the dispatch policy: SolveTo never routes to
+// the level schedule, which spawns goroutines and allocates per call. On the
+// 128² ND factor at GOMAXPROCS=2, SolveTo is the sequential sweep and
+// allocates nothing. The level sets the explicit SolveLevelTo runs on must
+// still cover every supernode exactly once.
 func TestLevelSolveRouting(t *testing.T) {
 	sys := sparse.Poisson2D(128, 128, 0.05)
 	s, err := NewSupernodal(sys.A, OrderND, ModeCholesky)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.parOK {
-		t.Fatalf("128² ND factor (nnz=%d) should qualify for the level-scheduled solve", s.NNZL())
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	n := s.Dim()
+	want, got := sparse.NewVec(n), sparse.NewVec(n)
+	s.SolveSeqTo(want, sys.B)
+	allocs := testing.AllocsPerRun(20, func() { s.SolveTo(got, sys.B) })
+	if allocs != 0 && !raceEnabled {
+		t.Errorf("SolveTo at GOMAXPROCS=2 allocates %.1f times per call, want 0", allocs)
+	}
+	if !vecsEqual(got, want) {
+		t.Fatal("SolveTo differs from SolveSeqTo")
 	}
 	if len(s.levList) != s.ns {
 		t.Fatalf("level sets cover %d of %d supernodes", len(s.levList), s.ns)
@@ -201,13 +212,6 @@ func TestLevelSolveRouting(t *testing.T) {
 				}
 			}
 		}
-	}
-	small, err := NewSupernodal(sparse.Poisson2D(16, 16, 0.05).A, OrderAuto, ModeCholesky)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.parOK {
-		t.Fatal("a 256-unknown factor should not route to the parallel solve")
 	}
 }
 

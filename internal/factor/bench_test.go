@@ -62,19 +62,24 @@ func BenchmarkFactorScalarVsSupernodal(b *testing.B) {
 	}
 }
 
+// BenchmarkSolve times one single-RHS SolveTo per backend on a Poisson
+// factor: poisson-33 (1089 unknowns) is the block size of the dtmperf
+// des-coarse workload, poisson-128 the largest E6 quick size.
 func BenchmarkSolve(b *testing.B) {
-	grid := sparse.Poisson2D(128, 128, 0.05)
-	for _, backend := range []string{SparseCholesky, SparseSupernodal} {
-		s, err := New(backend, grid.A)
-		if err != nil {
-			b.Fatal(err)
-		}
-		x := sparse.NewVec(grid.Dim())
-		b.Run(fmt.Sprintf("%s/poisson-128", backend), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s.SolveTo(x, grid.B)
+	for _, m := range []int{33, 128} {
+		grid := sparse.Poisson2D(m, m, 0.05)
+		for _, backend := range []string{SparseCholesky, SparseSupernodal} {
+			s, err := New(backend, grid.A)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			x := sparse.NewVec(grid.Dim())
+			b.Run(fmt.Sprintf("%s/poisson-%d", backend, m), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					s.SolveTo(x, grid.B)
+				}
+			})
+		}
 	}
 }

@@ -9,10 +9,13 @@ import (
 )
 
 // Parallel and batched triangular solves of the supernodal factorisation.
+// SolveTo never routes here: it always runs the sequential SolveSeqTo, which
+// on the DTM block sizes beats the level schedule and spawns no goroutines.
+// Both paths are explicit calls.
 //
-// Both paths are byte-identical to the sequential SolveSeqTo because every
-// value of the solution is produced by the same floating-point operations in
-// the same order:
+// Both are byte-identical to the sequential SolveSeqTo because every value of
+// the solution is produced by the same floating-point operations in the same
+// order:
 //
 //   - The level solve rewrites the forward sweep from scatter form (each
 //     supernode pushes its contribution down to ancestor rows) to gather form
@@ -21,17 +24,14 @@ import (
 //     arrive in the identical order — ascending descendant, each descendant's
 //     contribution pre-summed over its columns ascending — and gather form
 //     makes same-level supernodes write-disjoint, so they parallelise without
-//     locks. The backward sweep is write-disjoint as written.
+//     locks. The backward sweep is write-disjoint as written and shares
+//     backwardSupernode with SolveSeqTo.
 //   - The batched solve replaces k scalar sweeps with one panel sweep whose
 //     rectangular updates run through the packed rank-k kernels. The kernels
 //     accumulate each output element over the shared dimension ascending —
 //     the same chain the scalar sweep runs — so every right-hand side of the
 //     panel gets the scalar solve's bytes.
 const (
-	// snParSolveMinNNZ is the factor size (stored entries) under which the
-	// level-scheduled solve cannot beat the sequential sweep: below it the
-	// per-level goroutine handoff dominates the O(nnz(L)) sweep itself.
-	snParSolveMinNNZ = 150000
 	// snLevelParMinWork is the per-level flop floor for spawning workers;
 	// cheaper levels (the narrow top of the tree) run inline.
 	snLevelParMinWork = 20000

@@ -3,7 +3,6 @@ package factor
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"repro/internal/sparse"
@@ -115,7 +114,6 @@ type Supernodal struct {
 	levList []int32
 	levWork []float64 // per-level solve flops, the inline-vs-spawn decision
 	maxLd   int       // longest panel (solve scratch sizing)
-	parOK   bool      // factor is large enough for the level-scheduled solve
 
 	// scratch pools per-call solve buffers (*snSolveScratch), so SolveTo is
 	// reentrant: concurrent solves on one factor — the factor-once/solve-many
@@ -178,7 +176,6 @@ func NewSupernodal(a *sparse.CSR, order Ordering, mode SupernodalMode) (*Superno
 	s.sparent = sym.sparent
 	s.upd = sym.upd
 	s.levPtr, s.levList, s.levWork = snLevels(sym)
-	s.parOK = s.nnzStored >= snParSolveMinNNZ && s.ns >= 2
 	s.scratch.New = func() any {
 		return &snSolveScratch{w: sparse.NewVec(n), g: make([]float64, maxLd)}
 	}
@@ -643,11 +640,6 @@ func (s *Supernodal) Supernodes() int { return s.ns }
 // (1/0 means the factorisation ran sequentially).
 func (s *Supernodal) Parallelism() (tasks, workers int) { return s.tasks, s.workers }
 
-// ParallelSolveEligible reports whether SolveTo routes to the level-scheduled
-// parallel substitution when more than one CPU is available (the factor is
-// past the size gate and has at least two supernodes).
-func (s *Supernodal) ParallelSolveEligible() bool { return s.parOK }
-
 // SolveLevels returns the number of level sets of the supernodal elimination
 // tree — the critical-path length of the level-scheduled triangular solve.
 func (s *Supernodal) SolveLevels() int { return len(s.levPtr) - 1 }
@@ -690,20 +682,11 @@ func (s *Supernodal) Solve(b sparse.Vec) sparse.Vec {
 	return x
 }
 
-// SolveTo solves A·x = b into x using the precomputed factor. Large factors
-// route to the level-scheduled parallel substitution when more than one
-// processor is available; everything else runs the sequential sweep. Both
-// paths produce identical bytes (the per-supernode operation order is fixed
-// by the symbolic phase, not by execution order), so the dispatch is pure
-// speed. x may alias b. SolveTo is reentrant — all scratch is per call — so
-// one factor may serve concurrent solves.
-func (s *Supernodal) SolveTo(x, b sparse.Vec) {
-	if s.parOK && runtime.GOMAXPROCS(0) > 1 {
-		s.SolveLevelTo(x, b)
-		return
-	}
-	s.SolveSeqTo(x, b)
-}
+// SolveTo solves A·x = b into x using the precomputed factor: the
+// sequential sweep SolveSeqTo, on the calling goroutine. x may alias b.
+// SolveTo is reentrant — all scratch is per call — so one factor may serve
+// concurrent solves.
+func (s *Supernodal) SolveTo(x, b sparse.Vec) { s.SolveSeqTo(x, b) }
 
 // SolveSeqTo solves A·x = b into x on one goroutine: permute, supernodal
 // forward substitution (dense triangular solve per diagonal block, gathered
@@ -724,43 +707,11 @@ func (s *Supernodal) SolveSeqTo(x, b sparse.Vec) {
 	} else {
 		copy(w, b)
 	}
-	unit := s.mode == ModeLDLT
-
-	// Forward: L y = P b. Per supernode: dense (unit-)lower solve on the
-	// diagonal block, then one gathered accumulation of the rectangular
-	// panel's contribution, scattered to the ancestor rows once.
+	// Forward: L y = P b, per supernode ascending.
 	for sn := 0; sn < s.ns; sn++ {
-		f := int(s.sfirst[sn])
-		width := int(s.sfirst[sn+1]) - f
-		ld := int(s.rx[sn+1] - s.rx[sn])
-		panel := s.panel[s.px[sn]:s.px[sn+1]]
-		rows := s.rowind[s.rx[sn]:s.rx[sn+1]]
-		g := sc.g[:ld-width]
-		for i := range g {
-			g[i] = 0
-		}
-		for jj := 0; jj < width; jj++ {
-			col := panel[jj*ld:]
-			v := w[f+jj]
-			if !unit {
-				v /= col[jj]
-				w[f+jj] = v
-			}
-			if v == 0 {
-				continue
-			}
-			for i := jj + 1; i < width; i++ {
-				w[f+i] -= col[i] * v
-			}
-			for i := width; i < ld; i++ {
-				g[i-width] += col[i] * v
-			}
-		}
-		for i := width; i < ld; i++ {
-			w[rows[i]] -= g[i-width]
-		}
+		s.forwardSupernode(sn, w, sc.g)
 	}
-	if unit {
+	if s.mode == ModeLDLT {
 		for j := 0; j < n; j++ {
 			w[j] /= s.d[j]
 		}
@@ -779,6 +730,133 @@ func (s *Supernodal) SolveSeqTo(x, b sparse.Vec) {
 	s.scratch.Put(sc)
 }
 
+// The single-RHS sweeps below are register-blocked four columns per pass:
+// each output element keeps one running value in a register while four
+// columns' updates land on it, instead of one load/store round trip per
+// column. Blocking changes which loop an update sits in, never the
+// operations an element receives or their order — columns ascending, rows
+// ascending inside every dot product, each update the same single
+// `x ±= a*b` statement — so the blocked sweep produces the one-column
+// sweep's bytes. Reslicing a column to len(g) tells the compiler the loop
+// index is in range, which drops the bounds checks from the inner loops.
+
+// forwardSupernode runs supernode sn's slice of the forward sweep L y = P b
+// on the permuted working vector w: the dense (unit-)lower solve on the
+// diagonal block, then one gathered accumulation g of the rectangular
+// panel's contribution, scattered to the ancestor rows once. A column whose
+// solved value is zero contributes nothing — not even the 0·x products,
+// which would turn a −0 into +0 or an infinite entry into NaN — so a group
+// of four with a zero among its values runs column by column instead.
+func (s *Supernodal) forwardSupernode(sn int, w sparse.Vec, g []float64) {
+	f := int(s.sfirst[sn])
+	width := int(s.sfirst[sn+1]) - f
+	ld := int(s.rx[sn+1] - s.rx[sn])
+	panel := s.panel[s.px[sn]:s.px[sn+1]]
+	rows := s.rowind[s.rx[sn]:s.rx[sn+1]]
+	unit := s.mode == ModeLDLT
+	wb := w[f : f+width]
+	g = g[:ld-width]
+	for i := range g {
+		g[i] = 0
+	}
+	jj := 0
+	for ; jj+4 <= width; jj += 4 {
+		c0 := panel[jj*ld : jj*ld+ld]
+		c1 := panel[(jj+1)*ld : (jj+1)*ld+ld]
+		c2 := panel[(jj+2)*ld : (jj+2)*ld+ld]
+		c3 := panel[(jj+3)*ld : (jj+3)*ld+ld]
+		// The 4×4 diagonal triangle, column by column.
+		v0 := wb[jj]
+		if !unit {
+			v0 /= c0[jj]
+			wb[jj] = v0
+		}
+		if v0 != 0 {
+			wb[jj+1] -= c0[jj+1] * v0
+			wb[jj+2] -= c0[jj+2] * v0
+			wb[jj+3] -= c0[jj+3] * v0
+		}
+		v1 := wb[jj+1]
+		if !unit {
+			v1 /= c1[jj+1]
+			wb[jj+1] = v1
+		}
+		if v1 != 0 {
+			wb[jj+2] -= c1[jj+2] * v1
+			wb[jj+3] -= c1[jj+3] * v1
+		}
+		v2 := wb[jj+2]
+		if !unit {
+			v2 /= c2[jj+2]
+			wb[jj+2] = v2
+		}
+		if v2 != 0 {
+			wb[jj+3] -= c2[jj+3] * v2
+		}
+		v3 := wb[jj+3]
+		if !unit {
+			v3 /= c3[jj+3]
+			wb[jj+3] = v3
+		}
+		if v0 == 0 || v1 == 0 || v2 == 0 || v3 == 0 {
+			snForwardColumn(c0, v0, wb, g, jj+4)
+			snForwardColumn(c1, v1, wb, g, jj+4)
+			snForwardColumn(c2, v2, wb, g, jj+4)
+			snForwardColumn(c3, v3, wb, g, jj+4)
+			continue
+		}
+		// All four columns onto the trailing diagonal-block rows …
+		for i := jj + 4; i < width; i++ {
+			t := wb[i]
+			t -= c0[i] * v0
+			t -= c1[i] * v1
+			t -= c2[i] * v2
+			t -= c3[i] * v3
+			wb[i] = t
+		}
+		// … and onto the gathered rectangular contribution.
+		r0, r1, r2, r3 := c0[width:], c1[width:], c2[width:], c3[width:]
+		r0, r1, r2, r3 = r0[:len(g)], r1[:len(g)], r2[:len(g)], r3[:len(g)]
+		for i, t := range g {
+			t += r0[i] * v0
+			t += r1[i] * v1
+			t += r2[i] * v2
+			t += r3[i] * v3
+			g[i] = t
+		}
+	}
+	for ; jj < width; jj++ {
+		col := panel[jj*ld : jj*ld+ld]
+		v := wb[jj]
+		if !unit {
+			v /= col[jj]
+			wb[jj] = v
+		}
+		snForwardColumn(col, v, wb, g, jj+1)
+	}
+	for i, r := range rows[width:] {
+		w[r] -= g[i]
+	}
+}
+
+// snForwardColumn applies one solved column of a supernode panel (col, ld
+// long, value v) to the diagonal-block rows from lo on and to the gathered
+// rectangular contribution g. A zero v is skipped entirely.
+func snForwardColumn(col []float64, v float64, wb, g []float64, lo int) {
+	if v == 0 {
+		return
+	}
+	width := len(wb)
+	for i := lo; i < width; i++ {
+		wb[i] -= col[i] * v
+	}
+	rc := col[width:]
+	rc = rc[:len(g)]
+	for i, c := range rc {
+		g[i] += c * v
+	}
+}
+
 // backwardSupernode runs supernode sn's slice of the backward sweep Lᵀ z = y
 // on the permuted working vector w: gather the ancestor rows into g, subtract
 // each column's pre-summed rectangular contribution, then the dense
@@ -786,7 +864,8 @@ func (s *Supernodal) SolveSeqTo(x, b sparse.Vec) {
 // reads only rows solved later in the backward order (ancestors), which is
 // what lets same-level supernodes run concurrently; the rectangular
 // contribution is pre-summed per column (ascending row order) so the batched
-// panel solve's rank-k kernel reproduces it bit for bit.
+// panel solve's rank-k kernel reproduces it bit for bit. Four columns'
+// dot products run as independent chains over the one gathered vector.
 func (s *Supernodal) backwardSupernode(sn int, w sparse.Vec, g []float64) {
 	f := int(s.sfirst[sn])
 	width := int(s.sfirst[sn+1]) - f
@@ -794,30 +873,53 @@ func (s *Supernodal) backwardSupernode(sn int, w sparse.Vec, g []float64) {
 	panel := s.panel[s.px[sn]:s.px[sn+1]]
 	rows := s.rowind[s.rx[sn]:s.rx[sn+1]]
 	unit := s.mode == ModeLDLT
+	wb := w[f : f+width]
 	if m := ld - width; m > 0 {
 		gb := g[:m]
-		for i := 0; i < m; i++ {
-			gb[i] = w[rows[width+i]]
+		for i, r := range rows[width:] {
+			gb[i] = w[r]
 		}
-		for jj := 0; jj < width; jj++ {
-			col := panel[jj*ld+width:]
-			sum := 0.0
-			for i := 0; i < m; i++ {
-				sum += col[i] * gb[i]
+		jj := 0
+		for ; jj+4 <= width; jj += 4 {
+			r0 := panel[jj*ld+width : jj*ld+ld]
+			r1 := panel[(jj+1)*ld+width : (jj+1)*ld+ld]
+			r2 := panel[(jj+2)*ld+width : (jj+2)*ld+ld]
+			r3 := panel[(jj+3)*ld+width : (jj+3)*ld+ld]
+			r0, r1, r2, r3 = r0[:len(gb)], r1[:len(gb)], r2[:len(gb)], r3[:len(gb)]
+			s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+			for i, y := range gb {
+				s0 += r0[i] * y
+				s1 += r1[i] * y
+				s2 += r2[i] * y
+				s3 += r3[i] * y
 			}
-			w[f+jj] -= sum
+			wb[jj] -= s0
+			wb[jj+1] -= s1
+			wb[jj+2] -= s2
+			wb[jj+3] -= s3
+		}
+		for ; jj < width; jj++ {
+			rc := panel[jj*ld+width : jj*ld+ld]
+			rc = rc[:len(gb)]
+			sum := 0.0
+			for i, y := range gb {
+				sum += rc[i] * y
+			}
+			wb[jj] -= sum
 		}
 	}
+	// Row jj's ascending chain starts with the row solved just before it, so
+	// the triangle runs one row at a time.
 	for jj := width - 1; jj >= 0; jj-- {
 		col := panel[jj*ld:]
-		sum := w[f+jj]
+		sum := wb[jj]
 		for i := jj + 1; i < width; i++ {
-			sum -= col[i] * w[f+i]
+			sum -= col[i] * wb[i]
 		}
 		if !unit {
 			sum /= col[jj]
 		}
-		w[f+jj] = sum
+		wb[jj] = sum
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/sparse"
@@ -442,4 +444,382 @@ func TestPostorder(t *testing.T) {
 			t.Errorf("vertex %d appears after its parent %d", v, p)
 		}
 	}
+}
+
+// snSolveSeqRef is the one-column supernodal sweep, kept as the reference the
+// register-blocked SolveSeqTo must reproduce bit for bit: per supernode, the
+// forward step applies one solved column at a time to the trailing
+// diagonal-block rows and the gathered rectangular contribution (a zero
+// column value is skipped), and the backward step runs one dot product per
+// column over the gathered ancestor rows.
+func snSolveSeqRef(s *Supernodal, x, b sparse.Vec) {
+	n := s.n
+	w := sparse.NewVec(n)
+	g := make([]float64, s.maxLd)
+	if s.perm != nil {
+		for i, old := range s.perm {
+			w[i] = b[old]
+		}
+	} else {
+		copy(w, b)
+	}
+	unit := s.mode == ModeLDLT
+	for sn := 0; sn < s.ns; sn++ {
+		f := int(s.sfirst[sn])
+		width := int(s.sfirst[sn+1]) - f
+		ld := int(s.rx[sn+1] - s.rx[sn])
+		panel := s.panel[s.px[sn]:s.px[sn+1]]
+		rows := s.rowind[s.rx[sn]:s.rx[sn+1]]
+		g := g[:ld-width]
+		for i := range g {
+			g[i] = 0
+		}
+		for jj := 0; jj < width; jj++ {
+			col := panel[jj*ld:]
+			v := w[f+jj]
+			if !unit {
+				v /= col[jj]
+				w[f+jj] = v
+			}
+			if v == 0 {
+				continue
+			}
+			for i := jj + 1; i < width; i++ {
+				w[f+i] -= col[i] * v
+			}
+			for i := width; i < ld; i++ {
+				g[i-width] += col[i] * v
+			}
+		}
+		for i := width; i < ld; i++ {
+			w[rows[i]] -= g[i-width]
+		}
+	}
+	if unit {
+		for j := 0; j < n; j++ {
+			w[j] /= s.d[j]
+		}
+	}
+	for sn := s.ns - 1; sn >= 0; sn-- {
+		f := int(s.sfirst[sn])
+		width := int(s.sfirst[sn+1]) - f
+		ld := int(s.rx[sn+1] - s.rx[sn])
+		panel := s.panel[s.px[sn]:s.px[sn+1]]
+		rows := s.rowind[s.rx[sn]:s.rx[sn+1]]
+		if m := ld - width; m > 0 {
+			gb := g[:m]
+			for i := 0; i < m; i++ {
+				gb[i] = w[rows[width+i]]
+			}
+			for jj := 0; jj < width; jj++ {
+				col := panel[jj*ld+width:]
+				sum := 0.0
+				for i := 0; i < m; i++ {
+					sum += col[i] * gb[i]
+				}
+				w[f+jj] -= sum
+			}
+		}
+		for jj := width - 1; jj >= 0; jj-- {
+			col := panel[jj*ld:]
+			sum := w[f+jj]
+			for i := jj + 1; i < width; i++ {
+				sum -= col[i] * w[f+i]
+			}
+			if !unit {
+				sum /= col[jj]
+			}
+			w[f+jj] = sum
+		}
+	}
+	if s.perm != nil {
+		for i, old := range s.perm {
+			x[old] = w[i]
+		}
+	} else {
+		copy(x, w)
+	}
+}
+
+// snBlockDiagSPD returns the block-diagonal SPD matrix of dense blocks of the
+// given sizes (diagonal k+1, off-diagonal −1 in a k×k block). In natural
+// order every block is one root supernode of width k with no rectangular
+// part.
+func snBlockDiagSPD(sizes ...int) *sparse.CSR {
+	n := 0
+	for _, k := range sizes {
+		n += k
+	}
+	coo := sparse.NewCOO(n, n)
+	off := 0
+	for _, k := range sizes {
+		for i := 0; i < k; i++ {
+			coo.Add(off+i, off+i, float64(k+1))
+			for j := 0; j < i; j++ {
+				coo.AddSym(off+i, off+j, -1)
+			}
+		}
+		off += k
+	}
+	return coo.ToCSR()
+}
+
+// snDiffRHS returns right-hand sides that steer the sweep through both of its
+// paths: dense random values (the four-column passes), scattered exact zeros
+// and −0s, whole zero blocks and a lone unit entry (zero column values, so
+// the one-column fallback), all-zero and all-−0 vectors, and an infinite
+// entry (0·Inf must stay skipped exactly where the reference skips it).
+func snDiffRHS(n int, b sparse.Vec) map[string]sparse.Vec {
+	negZero := math.Copysign(0, -1)
+	out := map[string]sparse.Vec{
+		"system": b,
+		"random": sparse.RandomVec(n, 7),
+	}
+	scattered := sparse.RandomVec(n, 8)
+	for i := range scattered {
+		switch i % 7 {
+		case 1, 4:
+			scattered[i] = 0
+		case 5:
+			scattered[i] = negZero
+		}
+	}
+	out["scattered-zeros"] = scattered
+	blocks := sparse.RandomVec(n, 9)
+	for i := range blocks {
+		switch {
+		case i < n/2:
+			blocks[i] = 0
+		case i < 5*n/8:
+			blocks[i] = negZero
+		}
+	}
+	out["zero-blocks"] = blocks
+	unitVec := sparse.NewVec(n)
+	unitVec[n/3] = 1
+	out["unit"] = unitVec
+	out["zero"] = sparse.NewVec(n)
+	negZeros := sparse.NewVec(n)
+	for i := range negZeros {
+		negZeros[i] = negZero
+	}
+	out["neg-zero"] = negZeros
+	inf := sparse.NewVec(n)
+	inf[n-1-n/4] = math.Inf(1)
+	inf[n/5] = 2
+	out["inf"] = inf
+	return out
+}
+
+// TestSupernodalSolveMatchesReference is the differential test of the
+// register-blocked sweep: on every system, ordering and right-hand side,
+// SolveSeqTo, SolveTo and the level schedule (which shares the backward
+// step) must produce exactly the one-column reference's bits. The systems
+// together cover supernode widths 1–9 both with a rectangular part and as
+// roots without one.
+func TestSupernodalSolveMatchesReference(t *testing.T) {
+	type diffCase struct {
+		name  string
+		a     *sparse.CSR
+		b     sparse.Vec
+		order Ordering
+		mode  SupernodalMode
+	}
+	var cases []diffCase
+	for _, g := range []struct{ r, c int }{{33, 33}, {64, 40}, {128, 128}} {
+		sys := sparse.Poisson2D(g.r, g.c, 0.05)
+		for _, o := range []Ordering{OrderND, OrderAMD} {
+			cases = append(cases, diffCase{fmt.Sprintf("poisson-%dx%d/%s", g.r, g.c, o), sys.A, sys.B, o, ModeCholesky})
+		}
+	}
+	saddle := sparse.SaddlePoisson2D(24, 24, 1e-2)
+	for _, o := range []Ordering{OrderND, OrderAMD} {
+		cases = append(cases, diffCase{"saddle-24x24/" + o.String(), saddle.A, saddle.B, o, ModeLDLT})
+	}
+	blocks := snBlockDiagSPD(1, 2, 3, 4, 5, 6, 7, 8, 9)
+	for _, mode := range []SupernodalMode{ModeCholesky, ModeLDLT} {
+		cases = append(cases, diffCase{"blockdiag-1to9/" + mode.String(), blocks, sparse.RandomVec(blocks.Rows(), 3), OrderNatural, mode})
+	}
+
+	var withRect, rootOnly [10]bool
+	for _, tc := range cases {
+		s, err := NewSupernodal(tc.a, tc.order, tc.mode)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for sn := 0; sn < s.ns; sn++ {
+			if w := int(s.sfirst[sn+1] - s.sfirst[sn]); w < len(withRect) {
+				if int(s.rx[sn+1]-s.rx[sn]) > w {
+					withRect[w] = true
+				} else {
+					rootOnly[w] = true
+				}
+			}
+		}
+		n := s.Dim()
+		want, got := sparse.NewVec(n), sparse.NewVec(n)
+		for rname, b := range snDiffRHS(n, tc.b) {
+			snSolveSeqRef(s, want, b)
+			for _, solve := range []struct {
+				name string
+				run  func(x, b sparse.Vec)
+			}{{"SolveSeqTo", s.SolveSeqTo}, {"SolveTo", s.SolveTo}, {"SolveLevelTo", s.SolveLevelTo}} {
+				for i := range got {
+					got[i] = math.NaN()
+				}
+				solve.run(got, b)
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s/%s: %s x[%d] = %v (%#x), reference %v (%#x)", tc.name, rname, solve.name,
+							i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+					}
+				}
+			}
+		}
+	}
+	for w := 1; w < len(withRect); w++ {
+		if !withRect[w] || !rootOnly[w] {
+			t.Errorf("width %d not covered (with rectangular part %v, root without one %v)", w, withRect[w], rootOnly[w])
+		}
+	}
+}
+
+// snRootFactor builds a Cholesky-mode factor by hand: one root supernode
+// whose panel is the given dense lower-triangular L (natural order, no
+// rectangular part), so a test can place exact zeros where no
+// factorisation of a stored matrix would leave them.
+func snRootFactor(l [][]float64) *Supernodal {
+	n := len(l)
+	s := &Supernodal{
+		n: n, ns: 1, maxLd: n,
+		sfirst: []int32{0, int32(n)},
+		rx:     []int32{0, int32(n)},
+		rowind: make([]int32, n),
+		px:     []int{0, n * n},
+		panel:  make([]float64, n*n),
+	}
+	for i := range l {
+		s.rowind[i] = int32(i)
+		for j := 0; j <= i; j++ {
+			s.panel[j*n+i] = l[i][j]
+		}
+	}
+	s.scratch.New = func() any {
+		return &snSolveScratch{w: sparse.NewVec(n), g: make([]float64, n)}
+	}
+	return s
+}
+
+// TestSupernodalSolveZeroSkipExact pins the zero skip of every column of a
+// four-column group. Column z of the group solves to +0 while the other three
+// do not, and the trailing row 4 holds −0 that only column z touches. The
+// one-column sweep skips column z, so row 4 stays −0. Applying it anyway
+// computes −0 − (−0.5·+0) = +0, a sign the solution carries to x[4].
+func TestSupernodalSolveZeroSkipExact(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for z := 0; z < 4; z++ {
+		l := make([][]float64, 5)
+		for i := range l {
+			l[i] = make([]float64, i+1)
+			l[i][i] = 1
+		}
+		l[4][z] = -0.5
+		s := snRootFactor(l)
+		b := sparse.Vec{1, 1, 1, 1, negZero}
+		b[z] = 0
+		want, got := sparse.NewVec(5), sparse.NewVec(5)
+		snSolveSeqRef(s, want, b)
+		if math.Float64bits(want[4]) != math.Float64bits(negZero) {
+			t.Fatalf("z=%d: reference x[4] = %v, the case no longer isolates the skip", z, want[4])
+		}
+		s.SolveTo(got, b)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("z=%d: x[%d] = %v (%#x), reference %v (%#x)", z, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+}
+
+// snFuzzFactors are the small factors FuzzSupernodalSolve sweeps: an ND grid
+// in Cholesky mode, an AMD saddle system in LDLᵀ mode, and dense root blocks
+// of widths 1–9.
+var snFuzzFactors = sync.OnceValues(func() ([]*Supernodal, error) {
+	grid := sparse.Poisson2D(12, 12, 0.05)
+	saddle := sparse.SaddlePoisson2D(8, 8, 1e-2)
+	var out []*Supernodal
+	for _, c := range []struct {
+		a     *sparse.CSR
+		order Ordering
+		mode  SupernodalMode
+	}{
+		{grid.A, OrderND, ModeCholesky},
+		{saddle.A, OrderAMD, ModeLDLT},
+		{snBlockDiagSPD(1, 2, 3, 4, 5, 6, 7, 8, 9), OrderNatural, ModeCholesky},
+	} {
+		s, err := NewSupernodal(c.a, c.order, c.mode)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, s)
+	}
+	return out, nil
+})
+
+// snDecodeRHS turns fuzz bytes into a right-hand side of length n: each
+// entry takes two bytes, a selector and a value. The selector mostly yields
+// small finite values and otherwise +0, −0 or ±Inf; entries past the data
+// are zero. NaN is never produced: two NaN operands with different payloads
+// may legitimately come out in either order.
+func snDecodeRHS(data []byte, n int) sparse.Vec {
+	b := sparse.NewVec(n)
+	for i := 0; i < n && 2*i+1 < len(data); i++ {
+		sel, v := data[2*i], data[2*i+1]
+		switch sel % 16 {
+		case 0, 1:
+			b[i] = 0
+		case 2:
+			b[i] = math.Copysign(0, -1)
+		case 3:
+			if sel >= 128 {
+				b[i] = math.Inf(1)
+			} else {
+				b[i] = math.Inf(-1)
+			}
+		default:
+			b[i] = float64(int8(v)) / float64(sel%16)
+		}
+	}
+	return b
+}
+
+// FuzzSupernodalSolve checks the register-blocked sweep against the
+// one-column reference on fuzzed right-hand sides: the first byte picks the
+// factor, the rest decode the right-hand side.
+func FuzzSupernodalSolve(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{1, 4, 10, 5, 20, 0, 0, 2, 0, 7, 100})
+	f.Add(bytes.Repeat([]byte{2, 9, 37}, 100))
+	f.Add(append([]byte{0}, bytes.Repeat([]byte{0, 0, 5, 1, 2, 0, 4, 200}, 40)...))
+	f.Add([]byte{1, 3, 0, 131, 0, 6, 50})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		factors, err := snFuzzFactors()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) == 0 {
+			return
+		}
+		s := factors[int(data[0])%len(factors)]
+		n := s.Dim()
+		b := snDecodeRHS(data[1:], n)
+		want, got := sparse.NewVec(n), sparse.NewVec(n)
+		snSolveSeqRef(s, want, b)
+		s.SolveTo(got, b)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("x[%d] = %v (%#x), reference %v (%#x)", i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	})
 }
