@@ -16,12 +16,10 @@ vet:
 test:
 	$(GO) test ./...
 
-# Full benchmark sweep of the hot-path figures and the E6/E7 experiments,
-# plus a machine-readable summary (wall time / allocations per experiment) in
-# BENCH_dtm.json.
+# Measure the gated experiments (those marked Gated in the
+# internal/experiments registry) and write their wall time and allocations
+# per run to BENCH_dtm.json, the baseline of the regression gate.
 bench:
-	$(GO) test -bench='BenchmarkFig12$$|BenchmarkFig14$$|BenchmarkCompareAsyncJacobi$$|BenchmarkE6ScaleSparse$$|BenchmarkE7FaultSweep$$|BenchmarkE8SolveThroughput$$|BenchmarkE9CompareDistributed$$|BenchmarkE10FailoverSweep$$|BenchmarkE11SpannerFabric$$' \
-		-benchmem -benchtime=2x -run '^$$' .
 	$(GO) run ./cmd/dtmbench -benchjson BENCH_dtm.json -quick
 
 # The benchmark-regression gate CI runs: measure into BENCH_current.json and

@@ -132,14 +132,12 @@ func runOne(registry map[string]experiments.Runner, name string, quick bool) err
 	return nil
 }
 
-// benchExperiments are the hot-path figures whose cost is tracked over time.
-var benchExperiments = []string{"fig12", "fig14", "compare-async-jacobi", "scale-sparse", "fault-sweep", "solve-throughput", "compare-distributed", "failover-sweep", "spanner-fabric"}
-
-// writeBenchJSON measures each hot-path experiment and writes the shared
+// writeBenchJSON measures each gated experiment (experiments.GatedNames, the
+// hot-path figures whose cost is tracked over time) and writes the shared
 // benchjson schema the cmd/benchdiff regression gate consumes.
 func writeBenchJSON(registry map[string]experiments.Runner, path string, quick bool) error {
 	out := benchjson.File{Generated: "dtmbench -benchjson", GoVersion: runtime.Version()}
-	for _, name := range benchExperiments {
+	for _, name := range experiments.GatedNames() {
 		runner, ok := registry[name]
 		if !ok {
 			return fmt.Errorf("experiment %q is not registered", name)

@@ -46,11 +46,12 @@
 //     controller that assigns every send a reproducible fate;
 //   - internal/core — the DTM solver itself behind the context-first
 //     core.Solve(ctx, p, cfg) entry point, whose Config selects the engine:
-//     the asynchronous DES engine (default), the live goroutine engine, the
+//     the asynchronous DES engine (default), the live goroutine engine (the
+//     DES engine's per-part node driven by real goroutines and timers), the
 //     synchronous VTM special case and the mixed GALS variant; including the
-//     recovery protocol the engines run under injected faults: sequence
-//     numbers with last-writer-wins dedup, watchdog retransmission with
-//     backoff, and crash-restart from periodic snapshots;
+//     recovery protocol the asynchronous engines share under injected
+//     faults: sequence numbers with last-writer-wins dedup, watchdog
+//     retransmission with backoff, and crash-restart from periodic snapshots;
 //   - internal/transport — the datagram fabric distributed DTM runs on: an
 //     in-process channel implementation and a length-prefixed binary TCP
 //     implementation with reconnect backoff, under one conformance-tested

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/dtl"
 	"repro/internal/iterative"
@@ -654,7 +655,8 @@ func TestTraceDownsampleKeepsEndpoints(t *testing.T) {
 
 // TestSolveContextCancellation checks the context-first contract: a
 // pre-cancelled context ends a DES run immediately with ErrDeadlineExceeded
-// and a valid partial result.
+// and a valid partial result, while MaxWallTime ending a run without Tol is
+// no error.
 func TestSolveContextCancellation(t *testing.T) {
 	sys := sparse.RandomGridSPD(13, 13, 7)
 	prob, err := GridProblem(sys, 13, 13, 4, 4, topology.Mesh4x4Paper())
@@ -672,5 +674,18 @@ func TestSolveContextCancellation(t *testing.T) {
 	}
 	if res == nil || res.Converged {
 		t.Fatalf("want non-converged partial result, got %+v", res)
+	}
+
+	// A run with no convergence target that MaxWallTime ends is time-boxed,
+	// not late: it returns its result without an error.
+	res, err = Solve(context.Background(), prob, Config{
+		CommonOptions: CommonOptions{MaxWallTime: time.Millisecond},
+		MaxTime:       1e12,
+	})
+	if err != nil {
+		t.Fatalf("time-boxed run: want no error, got %v", err)
+	}
+	if res == nil || res.Converged || res.FinalTime >= 1e12 {
+		t.Fatalf("time-boxed run: want the partial result MaxWallTime cut short, got %+v", res)
 	}
 }

@@ -13,13 +13,10 @@ import (
 // generic simulator as a value — no interface boxing — and its entries slice
 // is recycled through the engine's pool once the receiver has consumed it.
 //
-// from and seq exist for the fault layer: seq numbers the waves of each
-// directed part pair so receivers can discard duplicated or overtaken packets
-// (last-writer-wins), and from identifies the sender on transports that do not
-// carry it themselves (the live engine's channels). Fault-free DES runs leave
-// seq at zero and never consult either field.
+// seq exists for the fault layer: it numbers the waves of each directed part
+// pair so receivers can discard duplicated or overtaken packets
+// (last-writer-wins). Fault-free runs leave it at zero and never consult it.
 type wavePacket struct {
-	from    int32
 	seq     uint64
 	entries []waveEntry
 }
@@ -29,8 +26,10 @@ type waveEntry struct {
 	wave   float64
 }
 
-// engine is the shared state of a DES-based DTM run: the subdomains, the
-// incrementally maintained assembled solution and error, and the trace.
+// engine is the shared state of a DTM run on the DES, mixed or live engine:
+// the subdomains, the incrementally maintained assembled solution and error,
+// and the trace. It is not safe for concurrent use; the live engine serialises
+// every access behind one mutex.
 type engine struct {
 	prob *Problem
 	cfg  *Config
@@ -51,6 +50,11 @@ type engine struct {
 	sinceRecompute int
 	solves         int
 
+	// ports[p] is part p's port potentials as of its latest applyLocal: the
+	// engine's own copy, so the twin-gap tree never reads a Subdomain that
+	// another goroutine may be solving (live engine).
+	ports [][]float64
+
 	// Incrementally maintained twin-gap state. gapTree is a 1-indexed max
 	// segment tree whose leaves (starting at gapLeaf) hold the exact current
 	// disagreement |u_A − u_B| of each link. After a part solves, only its
@@ -59,16 +63,16 @@ type engine struct {
 	// recomputation is needed because every leaf is always recomputed exactly
 	// from the two port potentials (nothing accumulates). gapRefs[p] holds,
 	// per incident link of part p, the tree leaf index and direct pointers to
-	// the two port potentials (stable: a Subdomain's x is solved in place and
-	// never reallocated), so a gap refresh is two loads, one abs, and a tree
-	// walk.
+	// the two port potentials in ports (stable: never reallocated), so a gap
+	// refresh is two loads, one abs, and a tree walk.
 	gapRefs [][]gapRef
 	gapTree []float64
 	gapLeaf int
 
-	// entryPool recycles waveEntry slices between sender and receiver; the DES
-	// engine is single-threaded, so a plain free list suffices and the steady
-	// state allocates no packet buffers at all.
+	// entryPool recycles waveEntry slices between sender and receiver; every
+	// Get and Put runs under the engine's single thread (or the live engine's
+	// mutex), so a plain free list suffices and the steady state allocates no
+	// packet buffers at all.
 	entryPool netsim.Pool[waveEntry]
 
 	lastChange []float64 // last boundary-potential change per part
@@ -77,8 +81,8 @@ type engine struct {
 	trace     []TracePoint
 	messages  int
 	converged bool
-	// interrupted is set when the caller's ctx (or the MaxWallTime deadline)
-	// ended the run before a stopping rule fired.
+	// interrupted is set when the ctx (the caller's, or Solve's MaxWallTime
+	// deadline) ended the run before a stopping rule fired.
 	interrupted bool
 
 	// timeOffset is added to every recorded trace time; the mixed sync/async
@@ -119,7 +123,8 @@ func newEngine(p *Problem, cfg *Config, subs []*Subdomain) *engine {
 const errRecomputeEvery = 256
 
 // gapRef locates one twin link for the incremental gap tracker: its leaf slot
-// in the segment tree and the addresses of the two twin port potentials.
+// in the segment tree and the addresses of the two twin port potentials in
+// engine.ports.
 type gapRef struct {
 	leaf int32
 	a, b *float64
@@ -136,6 +141,10 @@ func (e *engine) initTwinGaps() {
 			linksOfPart[l.PartB] = append(linksOfPart[l.PartB], int32(i))
 		}
 	}
+	e.ports = make([][]float64, len(e.subs))
+	for part, sub := range e.subs {
+		e.ports[part] = append([]float64(nil), sub.X()[:sub.NumPorts()]...)
+	}
 	if len(links) == 0 {
 		return
 	}
@@ -146,7 +155,7 @@ func (e *engine) initTwinGaps() {
 	e.gapLeaf = leaf
 	e.gapTree = make([]float64, 2*leaf)
 	for i, l := range links {
-		e.gapTree[leaf+i] = math.Abs(e.subs[l.PartA].PortPotential(l.PortA) - e.subs[l.PartB].PortPotential(l.PortB))
+		e.gapTree[leaf+i] = math.Abs(e.ports[l.PartA][l.PortA] - e.ports[l.PartB][l.PortB])
 	}
 	for i := leaf - 1; i >= 1; i-- {
 		e.gapTree[i] = math.Max(e.gapTree[2*i], e.gapTree[2*i+1])
@@ -158,8 +167,8 @@ func (e *engine) initTwinGaps() {
 			l := &links[li]
 			refs[j] = gapRef{
 				leaf: int32(leaf + int(li)),
-				a:    &e.subs[l.PartA].x[l.PortA],
-				b:    &e.subs[l.PartB].x[l.PortB],
+				a:    &e.ports[l.PartA][l.PortA],
+				b:    &e.ports[l.PartB][l.PortB],
 			}
 		}
 		e.gapRefs[part] = refs
@@ -196,10 +205,11 @@ func (e *engine) updateTwinGaps(part int) {
 }
 
 // applyLocal folds the latest local solution of one part into the assembled
-// solution, the running error, and the incident twin gaps, touching only the
-// entries that part owns.
+// solution, the running error, the part's port copy and the incident twin
+// gaps, touching only the entries that part owns.
 func (e *engine) applyLocal(part int) {
 	lx := e.subs[part].X()
+	copy(e.ports[part], lx)
 	for _, pair := range e.ownerOf[part] {
 		li, gv := pair[0], pair[1]
 		if e.exact != nil {
@@ -299,8 +309,18 @@ func (e *engine) record(now float64) {
 	})
 }
 
-// dtmNode adapts one Subdomain to the netsim.Node interface, implementing the
-// per-processor loop of Table 1 in the paper.
+// scheduler arms a node's timers: the id comes back through OnTimer (DES) or
+// fireTimer (live) at virtual time now+delay, the deadline it was armed with.
+// *netsim.Simulator implements it for the DES and mixed engines; the live
+// engine implements it with wall-clock timers.
+type scheduler interface {
+	After(node int, now, delay float64, id int)
+}
+
+// dtmNode is one part's processor: the per-processor loop of Table 1 in the
+// paper, free of any clock. The DES and mixed engines drive it as a
+// netsim.Node; the live engine drives the same methods from one goroutine per
+// part, running Subdomain.Solve between absorb and solved outside its lock.
 type dtmNode struct {
 	eng *engine
 	sub *Subdomain
@@ -321,10 +341,12 @@ type dtmNode struct {
 	warmStart bool
 
 	// Fault-layer state (see faults.go); untouched in fault-free runs.
-	sim        *netsim.Simulator[wavePacket]
+	timers     scheduler
 	wdDeadline []float64 // armed watchdog deadline per neighbour
 	wdBackoff  []int     // consecutive silent watchdog expiries per neighbour
-	crashed    bool
+	// crashed is set from the crash until the restart's re-solve is folded
+	// in by solved.
+	crashed bool
 }
 
 func newDTMNode(eng *engine, sub *Subdomain, compute func(part, dim int) float64) *dtmNode {
@@ -369,6 +391,15 @@ func (n *dtmNode) Init(now float64) []netsim.Outgoing[wavePacket] {
 // local system, and send the new local boundary conditions to the adjacent
 // subdomains.
 func (n *dtmNode) OnMessages(now float64, msgs []netsim.Message[wavePacket]) []netsim.Outgoing[wavePacket] {
+	if !n.absorb(msgs) {
+		return nil
+	}
+	return n.solved(now, n.sub.Solve())
+}
+
+// absorb folds a batch of received waves into the subdomain's incoming
+// boundary conditions and reports whether the part must re-solve.
+func (n *dtmNode) absorb(msgs []netsim.Message[wavePacket]) bool {
 	fresh := 0
 	for i := range msgs {
 		entries := msgs[i].Payload.entries
@@ -398,18 +429,25 @@ func (n *dtmNode) OnMessages(now float64, msgs []netsim.Message[wavePacket]) []n
 			n.eng.entryPool.Put(entries)
 		}
 	}
-	if fresh == 0 && n.eng.faults != nil {
-		// Nothing survived deduplication (or the process is down): no state
-		// changed, so re-solving and re-announcing would only amplify the
-		// duplicate traffic.
-		return nil
-	}
-	change := n.sub.Solve()
+	// Under faults, a batch of which nothing survived deduplication (or that
+	// reached a crashed process) changed no state, so re-solving and
+	// re-announcing would only amplify the duplicate traffic.
+	return fresh > 0 || n.eng.faults == nil
+}
+
+// solved folds the part's latest local solve, whose largest port change is
+// change, into the engine — completing a restart if one is in progress — and
+// returns the new waves to announce.
+func (n *dtmNode) solved(now, change float64) []netsim.Outgoing[wavePacket] {
 	part := n.sub.Part()
 	n.eng.lastChange[part] = change
 	n.eng.solvedOnce[part] = true
 	n.eng.solves++
 	n.eng.applyLocal(part)
+	if n.crashed {
+		n.crashed = false
+		n.eng.faults.crashedParts--
+	}
 	if n.eng.cfg.Observer != nil {
 		n.eng.cfg.Observer(now, part, n.sub.X())
 	}
@@ -453,7 +491,7 @@ func (n *dtmNode) packetsToAll(now float64, initial bool) []netsim.Outgoing[wave
 		for i, k := range toward {
 			n.lastSent[k] = entries[i].wave
 		}
-		pkt := wavePacket{from: int32(part), entries: entries}
+		pkt := wavePacket{entries: entries}
 		if f := n.eng.faults; f != nil {
 			pkt.seq = f.sendSeq(n.eng.pairID(part, remote))
 			n.wdBackoff[ai] = 0
@@ -476,22 +514,10 @@ func solveDES(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 		return nil, err
 	}
 
-	// Degenerate case: a single subdomain (no twin links) is the whole system;
-	// one local solve is the exact answer.
-	if len(p.Partition.Links) == 0 {
-		eng := newEngine(p, cfg, subs)
-		for part, s := range subs {
-			s.Solve()
-			eng.solves++
-			eng.applyLocal(part)
-			eng.solvedOnce[part] = true
-			eng.lastChange[part] = 0
-		}
-		eng.record(0)
-		return finish(eng, zs, 0, 0, true), nil
-	}
-
 	eng := newEngine(p, cfg, subs)
+	if len(p.Partition.Links) == 0 {
+		return solveSingle(eng, zs), nil
+	}
 	compute := cfg.computeTimeFn(p)
 	dtmNodes := make([]*dtmNode, len(subs))
 	nodes := make([]netsim.Node[wavePacket], len(subs))
@@ -507,7 +533,7 @@ func solveDES(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 		sim.SetFaultPolicy(eng.faults.ctl.Fate)
 	}
 	for _, n := range dtmNodes {
-		n.sim = sim
+		n.timers = sim
 	}
 	sim.SetObserver(func(now float64, node int) { eng.record(now) })
 	if done := ctx.Done(); done != nil {
@@ -526,7 +552,21 @@ func solveDES(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 
 	stats := sim.Run(cfg.MaxTime)
 	res := finish(eng, zs, stats.Time, stats.Messages, eng.converged)
-	return res, deadlineErr(ctx, cfg, eng.interrupted)
+	return res, deadlineErr(eng.interrupted)
+}
+
+// solveSingle solves the degenerate partition of a single subdomain (no twin
+// links), which is the whole system: one local solve is the exact answer.
+func solveSingle(eng *engine, zs []float64) *Result {
+	for part, s := range eng.subs {
+		s.Solve()
+		eng.solves++
+		eng.applyLocal(part)
+		eng.solvedOnce[part] = true
+		eng.lastChange[part] = 0
+	}
+	eng.record(0)
+	return finish(eng, zs, 0, 0, true)
 }
 
 func finish(eng *engine, zs []float64, finalTime float64, deliveredMessages int, converged bool) *Result {

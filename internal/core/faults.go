@@ -8,10 +8,11 @@ import (
 	"repro/internal/netsim"
 )
 
-// This file holds the fault-tolerance layer of the DES engine: per-directed-
-// pair sequence numbers with last-writer-wins deduplication, sender-side
-// watchdog retransmission with exponential backoff, crash-restart from
-// in-memory snapshots, and the fault-aware part of the stopping rule.
+// This file holds the fault-tolerance layer of the part nodes every
+// asynchronous engine (DES, mixed, live) runs: per-directed-pair sequence
+// numbers with last-writer-wins deduplication, sender-side watchdog
+// retransmission with exponential backoff, crash-restart from in-memory
+// snapshots, and the fault-aware part of the stopping rule.
 //
 // Everything here is inert when Options.Faults is nil or disabled: no timers
 // are armed, packets carry seq 0, and shouldStop reduces to the fault-free
@@ -42,6 +43,13 @@ type faultState struct {
 	appliedSeq []uint64
 	// pendingPairs counts pairs with appliedSeq < neededSeq.
 	pendingPairs int
+	// crashArmed[i] is set while the timer of the spec's crash i is armed and
+	// has not fired; crashedParts counts parts whose process is down:
+	// crashed, or restarted but not yet re-solved. On a real clock a timer
+	// can run late, so the stopping rule reads these, not just the spec's
+	// schedule.
+	crashArmed   []bool
+	crashedParts int
 
 	stats FaultStats
 }
@@ -68,6 +76,7 @@ func (e *engine) initFaults(spec *chaos.Spec) error {
 		sentSeq:    make([]uint64, n*n),
 		neededSeq:  make([]uint64, n*n),
 		appliedSeq: make([]uint64, n*n),
+		crashArmed: make([]bool, len(spec.Crashes)),
 	}
 	return nil
 }
@@ -116,19 +125,30 @@ func (f *faultState) settle() {
 }
 
 // faultQuiet reports whether the fault layer permits declaring convergence at
-// absolute virtual time now: no link-down window is open, no part is inside a
-// crash window, and no wave is unaccounted for (in flight, lost, or pending
-// retransmission). Without it, the twin-gap rule could declare convergence on
-// a state that a delayed or retransmitted wave is still going to change.
+// absolute virtual time now: no link-down window is open; no part is inside a
+// crash window, actually down (crashed, or restarted but not yet re-solved),
+// or past its crash time with the crash timer not yet fired — on a real clock
+// the schedule and the parts can disagree; and no wave is unaccounted for (in
+// flight, lost, or pending retransmission). Without it, the twin-gap rule
+// could declare convergence on a state that a delayed or retransmitted wave,
+// or a crash-restart, is still going to change.
 func (e *engine) faultQuiet(now float64) bool {
 	f := e.faults
 	if f == nil {
 		return true
 	}
-	return f.pendingPairs == 0 && !f.spec.AnyDownAt(now) && !f.spec.AnyCrashedAt(now)
+	if f.pendingPairs != 0 || f.crashedParts != 0 || f.spec.AnyDownAt(now) || f.spec.AnyCrashedAt(now) {
+		return false
+	}
+	for ci, armed := range f.crashArmed {
+		if armed && f.spec.Crashes[ci].At <= now {
+			return false
+		}
+	}
+	return true
 }
 
-// Timer-id layout per node (per netsim node ids are scoped to the node):
+// Timer-id layout per node (timer ids are scoped to the node):
 // ids 0..len(adj)-1 are the per-neighbour watchdogs, len(adj) is the snapshot
 // tick, and above that crashes and restarts alternate (crash i → base+2i,
 // restart i → base+2i+1, indexing the spec's crash list).
@@ -150,44 +170,57 @@ func (n *dtmNode) initFaultNode(now float64) {
 		}
 		switch {
 		case c.At > absNow:
-			n.sim.After(part, now, c.At-absNow, n.idCrashBase()+2*ci)
+			n.eng.faults.crashArmed[ci] = true
+			n.timers.After(part, now, c.At-absNow, n.idCrashBase()+2*ci)
 		case c.At+c.RestartAfter > absNow:
 			// The crash window straddles this DES window's start (mixed
 			// engine): begin crashed and schedule only the restart.
 			n.crashed = true
-			n.sim.After(part, now, c.At+c.RestartAfter-absNow, n.idCrashBase()+2*ci+1)
+			n.eng.faults.crashedParts++
+			n.timers.After(part, now, c.At+c.RestartAfter-absNow, n.idCrashBase()+2*ci+1)
 		}
 	}
 	if len(spec.Crashes) > 0 {
-		n.sim.After(part, now, spec.SnapshotInterval(), n.idSnapshot())
+		n.timers.After(part, now, spec.SnapshotInterval(), n.idSnapshot())
 	}
 }
 
 // armWatchdog (re)arms the retransmission watchdog toward neighbour adj[ai].
 // The timeout is WatchdogMult × the link delay, doubled per consecutive silent
 // expiry up to the backoff cap. Stale timer events — ones superseded by a
-// newer arming — are recognised in OnTimer by comparing against wdDeadline, so
-// nothing needs to be cancelled.
+// newer arming — are recognised in watchdogFired by comparing the deadline
+// they were armed with against wdDeadline, so nothing needs to be cancelled.
 func (n *dtmNode) armWatchdog(now float64, ai int) {
 	spec := n.eng.faults.spec
 	part := n.sub.Part()
 	t := spec.WatchdogTimeout(n.eng.prob.Delay(part, n.adj[ai]))
 	t *= float64(uint64(1) << uint(n.wdBackoff[ai]))
 	n.wdDeadline[ai] = now + t
-	n.sim.After(part, now, t, ai)
+	n.timers.After(part, now, t, ai)
 }
 
 // OnTimer dispatches the node's timer events: watchdog expiries, snapshot
 // ticks, and the crash/restart schedule. It implements netsim.TimerNode.
 func (n *dtmNode) OnTimer(now float64, id int) []netsim.Outgoing[wavePacket] {
+	outs, restart := n.fireTimer(now, id)
+	if restart {
+		return n.solved(now, n.sub.Solve())
+	}
+	return outs
+}
+
+// fireTimer handles timer id armed for virtual time now. It returns the waves
+// to send, or restart=true when the part has just restarted and must re-solve
+// (then solved announces the result).
+func (n *dtmNode) fireTimer(now float64, id int) (outs []netsim.Outgoing[wavePacket], restart bool) {
 	switch {
 	case id < len(n.adj):
-		return n.watchdogFired(now, id)
+		return n.watchdogFired(now, id), false
 	case id == n.idSnapshot():
 		n.snapshotTick(now)
-		return nil
+		return nil, false
 	default:
-		return n.crashTimer(now, id)
+		return nil, n.crashTimer(now, id)
 	}
 }
 
@@ -199,8 +232,9 @@ func (n *dtmNode) OnTimer(now float64, id int) []netsim.Outgoing[wavePacket] {
 // from chattering at the full watchdog rate forever.
 func (n *dtmNode) watchdogFired(now float64, ai int) []netsim.Outgoing[wavePacket] {
 	if n.crashed || now < n.wdDeadline[ai] {
-		// Crashed processes run no timers; an event below the armed deadline
-		// was superseded by a more recent send re-arming the watchdog.
+		// Crashed processes run no timers; an event armed for an earlier
+		// deadline was superseded by a more recent send re-arming the
+		// watchdog.
 		return nil
 	}
 	f := n.eng.faults
@@ -222,7 +256,7 @@ func (n *dtmNode) watchdogFired(now float64, ai int) []netsim.Outgoing[wavePacke
 	n.outs = n.outs[:0]
 	n.outs = append(n.outs, netsim.Outgoing[wavePacket]{
 		To:      n.adj[ai],
-		Payload: wavePacket{from: int32(part), seq: f.retransmitSeq(n.eng.pairID(part, n.adj[ai])), entries: entries},
+		Payload: wavePacket{seq: f.retransmitSeq(n.eng.pairID(part, n.adj[ai])), entries: entries},
 	})
 	return n.outs
 }
@@ -235,28 +269,32 @@ func (n *dtmNode) snapshotTick(now float64) {
 		n.sub.Snapshot()
 		n.eng.faults.stats.Snapshots++
 	}
-	n.sim.After(n.sub.Part(), now, n.eng.faults.spec.SnapshotInterval(), n.idSnapshot())
+	n.timers.After(n.sub.Part(), now, n.eng.faults.spec.SnapshotInterval(), n.idSnapshot())
 }
 
-// crashTimer handles the crash/restart schedule. A crash silences the node:
-// incoming messages are discarded and timers ignored until the restart, which
-// models a process that lost its in-memory state. The restart rebuilds the
-// factorisation from the cached local matrix, rolls the mutable state back to
-// the latest snapshot, re-solves, and re-announces its waves to every
-// neighbour — recovery is local, the rest of the computation never stops.
-func (n *dtmNode) crashTimer(now float64, id int) []netsim.Outgoing[wavePacket] {
+// crashTimer handles the crash/restart schedule and reports whether the part
+// restarted. A crash silences the node: incoming messages are discarded and
+// timers ignored until the restart, which models a process that lost its
+// in-memory state. The restart rebuilds the factorisation from the cached
+// local matrix and rolls the mutable state back to the latest snapshot; the
+// caller then re-solves and solved re-announces the waves to every neighbour
+// — recovery is local, the rest of the computation never stops.
+func (n *dtmNode) crashTimer(now float64, id int) bool {
 	f := n.eng.faults
 	part := n.sub.Part()
 	rel := id - n.idCrashBase()
 	if rel%2 == 0 { // crash
 		ci := rel / 2
-		n.crashed = true
+		f.crashArmed[ci] = false
+		if !n.crashed {
+			n.crashed = true
+			f.crashedParts++
+		}
 		f.stats.Crashes++
-		n.sim.After(part, now, f.spec.Crashes[ci].RestartAfter, id+1)
-		return nil
+		n.timers.After(part, now, f.spec.Crashes[ci].RestartAfter, id+1)
+		return false
 	}
-	// Restart.
-	n.crashed = false
+	// Restart; n.crashed stays set until solved folds the re-solve in.
 	f.stats.Restarts++
 	if err := n.sub.Refactor(); err != nil {
 		// The same matrix factorised successfully at start-up; a failure here
@@ -265,17 +303,9 @@ func (n *dtmNode) crashTimer(now float64, id int) []netsim.Outgoing[wavePacket] 
 	}
 	n.sub.RestoreSnapshot()
 	// The restarted process has no memory of what it last sent; clear the
-	// send-threshold history so the re-announcement below reaches everyone.
+	// send-threshold history so the re-announcement reaches everyone.
 	for k := range n.lastSent {
 		n.lastSent[k] = math.NaN()
 	}
-	change := n.sub.Solve()
-	n.eng.lastChange[part] = change
-	n.eng.solvedOnce[part] = true
-	n.eng.solves++
-	n.eng.applyLocal(part)
-	if n.eng.cfg.Observer != nil {
-		n.eng.cfg.Observer(now, part, n.sub.X())
-	}
-	return n.packetsToAll(now, false)
+	return true
 }

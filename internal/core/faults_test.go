@@ -214,3 +214,60 @@ func TestMixedFaultsConverge(t *testing.T) {
 		t.Errorf("mixed faulted solution diverges from the oracle by %g", d)
 	}
 }
+
+// timerLog is a scheduler that only records what was armed, so a test can
+// fire the timers late, the way a loaded wall clock does.
+type timerLog struct{ armed []int }
+
+func (l *timerLog) After(node int, now, delay float64, id int) { l.armed = append(l.armed, id) }
+
+// TestFaultQuietFollowsTheParts pins the crash half of the fault-aware stop
+// against the parts' actual state, not only the spec's schedule: once the
+// crash window is over on the clock, the rule must still wait while the
+// crash timer has not fired, and then while the part is down, until its
+// restart has re-solved.
+func TestFaultQuietFollowsTheParts(t *testing.T) {
+	prob, _ := gridProblem(t, 6, 2, nil)
+	cfg := Config{CommonOptions: CommonOptions{Tol: 1e-9, Faults: &chaos.Spec{
+		Crashes: []chaos.Crash{{Part: 1, At: 100, RestartAfter: 50}},
+	}}}
+	cfg.normalize()
+	subs, _, err := prob.BuildSubdomains(cfg.Impedance, cfg.LocalSolver)
+	if err != nil {
+		t.Fatalf("BuildSubdomains: %v", err)
+	}
+	eng := newEngine(prob, &cfg, subs)
+	if err := eng.initFaults(cfg.Faults); err != nil {
+		t.Fatalf("initFaults: %v", err)
+	}
+	timers := &timerLog{}
+	n := newDTMNode(eng, subs[1], nil)
+	n.timers = timers
+	n.Init(0)
+	eng.faults.settle() // no wave left in flight: only the crash matters
+	const late = 1000   // well after the crash window [100, 150)
+	crash := n.idCrashBase()
+	if eng.faults.spec.AnyCrashedAt(late) || !eng.faults.crashArmed[0] {
+		t.Fatalf("setup: the window must be over and the crash armed")
+	}
+	if eng.faultQuiet(late) {
+		t.Errorf("quiet while the crash timer is overdue")
+	}
+	if _, restart := n.fireTimer(100, crash); restart || !n.crashed {
+		t.Fatalf("the crash timer must crash the part")
+	}
+	if eng.faultQuiet(late) {
+		t.Errorf("quiet while the part is down")
+	}
+	if _, restart := n.fireTimer(150, crash+1); !restart {
+		t.Fatalf("the restart timer must ask for a re-solve")
+	}
+	if eng.faultQuiet(late) {
+		t.Errorf("quiet before the restart has re-solved")
+	}
+	n.solved(150, n.sub.Solve())
+	eng.faults.settle()
+	if !eng.faultQuiet(late) {
+		t.Errorf("not quiet once the part is back")
+	}
+}

@@ -27,6 +27,11 @@ func TestSolveLiveValidation(t *testing.T) {
 	}
 }
 
+// liveRuns is how many independent live runs each convergence test makes: the
+// interleaving differs per run, and a wrong stopping rule shows up as an
+// occasional converged-but-wrong answer, not as a failure of every run.
+const liveRuns = 30
+
 func TestSolveLiveConvergesOnGoroutines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live engine test skipped in -short mode")
@@ -41,29 +46,30 @@ func TestSolveLiveConvergesOnGoroutines(t *testing.T) {
 	if err != nil || !st.Converged {
 		t.Fatalf("reference CG failed")
 	}
-	res, err := Solve(context.Background(), prob, Config{
-		CommonOptions: CommonOptions{MaxWallTime: 10 * time.Second, Tol: 1e-9, Exact: exact, RecordTrace: true},
-		Engine:        EngineLive,
-		TimeScale:     5 * time.Microsecond,
-		PollInterval:  time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	if !res.Converged {
-		t.Fatalf("live run did not converge within the wall-time budget (error %g)", res.RMSError)
-	}
-	if res.RMSError > 1e-6 {
-		t.Errorf("live RMS error = %g", res.RMSError)
-	}
-	if res.Residual > 1e-5 {
-		t.Errorf("live residual = %g", res.Residual)
-	}
-	if res.Solves == 0 || res.Messages == 0 {
-		t.Errorf("live run recorded no work: %+v", res)
-	}
-	if res.FinalTime <= 0 {
-		t.Errorf("live run must report a positive wall time, got %g", res.FinalTime)
+	for run := 0; run < liveRuns; run++ {
+		res, err := Solve(context.Background(), prob, Config{
+			CommonOptions: CommonOptions{MaxWallTime: 10 * time.Second, Tol: 1e-9, Exact: exact, RecordTrace: true},
+			Engine:        EngineLive,
+			TimeScale:     5 * time.Microsecond,
+		})
+		if err != nil {
+			t.Fatalf("run %d: Solve: %v", run, err)
+		}
+		if !res.Converged {
+			t.Fatalf("run %d: live run did not converge within the wall-time budget (error %g)", run, res.RMSError)
+		}
+		if d := res.X.MaxAbsDiff(exact); d > 1e-6 {
+			t.Errorf("run %d: converged live solution is %g from CG (RMS error %g, residual %g)", run, d, res.RMSError, res.Residual)
+		}
+		if res.Residual > 1e-5 {
+			t.Errorf("run %d: live residual = %g", run, res.Residual)
+		}
+		if res.Solves == 0 || res.Messages == 0 {
+			t.Errorf("run %d: live run recorded no work: %+v", run, res)
+		}
+		if res.FinalTime <= 0 {
+			t.Errorf("run %d: live run must report a positive wall time, got %g", run, res.FinalTime)
+		}
 	}
 }
 
@@ -81,21 +87,60 @@ func TestSolveLiveMatchesDESFixedPoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	live, err := Solve(context.Background(), prob, Config{
-		CommonOptions: CommonOptions{MaxWallTime: 10 * time.Second, Tol: 1e-9},
+	for run := 0; run < liveRuns; run++ {
+		live, err := Solve(context.Background(), prob, Config{
+			CommonOptions: CommonOptions{MaxWallTime: 10 * time.Second, Tol: 1e-9},
+			Engine:        EngineLive,
+			TimeScale:     5 * time.Microsecond,
+		})
+		if err != nil {
+			t.Fatalf("run %d: Solve: %v", run, err)
+		}
+		if !live.Converged {
+			t.Fatalf("run %d: live run did not converge", run)
+		}
+		// Both engines must land on the same solution (the exact one), even
+		// though their interleavings are completely different.
+		if !des.X.Equal(live.X, 1e-6) {
+			t.Errorf("run %d: DES and live solutions differ by %g", run, des.X.MaxAbsDiff(live.X))
+		}
+	}
+}
+
+// TestSolveLiveStopOnErrorAndObserver checks the two rules the live engine
+// shares with the DES engine through the common part node: the oracle stop
+// (StopOnError, with no Tol set) and the per-solve Observer, which sees every
+// local solve exactly once.
+func TestSolveLiveStopOnErrorAndObserver(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live engine test skipped in -short mode")
+	}
+	sys := sparse.Poisson2D(8, 8, 0.05)
+	prob, err := GridProblem(sys, 8, 8, 2, 2, topology.Uniform(4, 10, "uniform"))
+	if err != nil {
+		t.Fatalf("GridProblem: %v", err)
+	}
+	exact, st, err := iterative.CG(sys.A, sys.B, iterative.Config{MaxIterations: 2000, Tol: 1e-13})
+	if err != nil || !st.Converged {
+		t.Fatalf("reference CG failed")
+	}
+	observed := 0
+	res, err := Solve(context.Background(), prob, Config{
+		CommonOptions: CommonOptions{MaxWallTime: 10 * time.Second, Exact: exact, StopOnError: 1e-6},
 		Engine:        EngineLive,
 		TimeScale:     5 * time.Microsecond,
+		Observer: func(now float64, part int, local sparse.Vec) {
+			observed++
+		},
 	})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	if !live.Converged {
-		t.Fatalf("live run did not converge")
+	if !res.Converged || res.RMSError > 1e-6 {
+		t.Fatalf("StopOnError must end the live run: converged=%v RMS error %g", res.Converged, res.RMSError)
 	}
-	// Both engines must land on the same solution (the exact one), even though
-	// their interleavings are completely different.
-	if !des.X.Equal(live.X, 1e-6) {
-		t.Errorf("DES and live solutions differ by %g", des.X.MaxAbsDiff(live.X))
+	if observed != res.Solves {
+		t.Errorf("Observer saw %d solves, the run made %d", observed, res.Solves)
 	}
 }
 
@@ -152,10 +197,12 @@ func TestSolveLiveDeadlineExceeded(t *testing.T) {
 }
 
 // TestSolveLiveFaultsRecover drives the live engine's whole fault path — real
-// dropped and duplicated channel sends, watchdog retransmissions, and one
-// crash-restart from a snapshot — at GOMAXPROCS=4, and checks the run still
-// lands on the DES engine's solution. Run it under -race: the fault machinery
-// (per-pair atomics, in-goroutine timers) is exactly the code this guards.
+// dropped and duplicated sends, watchdog retransmissions, and one crash-restart
+// from a snapshot — at GOMAXPROCS=4, and checks the run still lands on the DES
+// engine's solution. The crash is scheduled well inside the run: the DES run
+// of the same spec must go through it too. Run it under -race: the live
+// engine's goroutines, mailboxes and wall-clock timers around the shared part
+// nodes are exactly the code this guards.
 func TestSolveLiveFaultsRecover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live engine test skipped in -short mode")
@@ -168,22 +215,23 @@ func TestSolveLiveFaultsRecover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GridProblem: %v", err)
 	}
-	des, err := Solve(context.Background(), prob, Config{CommonOptions: CommonOptions{Tol: 1e-10}, MaxTime: 20000})
+	spec := &chaos.Spec{
+		Seed: 17, Drop: 0.20, Dup: 0.05, Jitter: 0.5,
+		Crashes:       []chaos.Crash{{Part: 2, At: 100, RestartAfter: 200}},
+		SnapshotEvery: 50,
+	}
+	des, err := Solve(context.Background(), prob, Config{CommonOptions: CommonOptions{Tol: 1e-9, Faults: spec}, MaxTime: 20000})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
+	if !des.Converged || des.Faults.Crashes != 1 || des.Faults.Restarts != 1 {
+		t.Fatalf("the DES run of the spec must converge through its crash: converged=%v at t=%g, crash/restart %d/%d",
+			des.Converged, des.FinalTime, des.Faults.Crashes, des.Faults.Restarts)
+	}
 	live, err := Solve(context.Background(), prob, Config{
-		CommonOptions: CommonOptions{
-			MaxWallTime: 20 * time.Second,
-			Tol:         1e-9,
-			Faults: &chaos.Spec{
-				Seed: 17, Drop: 0.20, Dup: 0.05, Jitter: 0.5,
-				Crashes:       []chaos.Crash{{Part: 2, At: 2000, RestartAfter: 1000}},
-				SnapshotEvery: 500,
-			},
-		},
-		Engine:    EngineLive,
-		TimeScale: 5 * time.Microsecond,
+		CommonOptions: CommonOptions{MaxWallTime: 20 * time.Second, Tol: 1e-9, Faults: spec},
+		Engine:        EngineLive,
+		TimeScale:     5 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)

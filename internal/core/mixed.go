@@ -22,17 +22,8 @@ func solveMixed(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 		}
 	}
 
-	// Degenerate single-subdomain case: one solve is the answer.
 	if len(p.Partition.Links) == 0 {
-		for part, s := range subs {
-			s.Solve()
-			eng.solves++
-			eng.applyLocal(part)
-			eng.solvedOnce[part] = true
-			eng.lastChange[part] = 0
-		}
-		eng.record(0)
-		return finish(eng, zs, 0, 0, true), nil
+		return solveSingle(eng, zs), nil
 	}
 
 	syncCost := cfg.SyncSweepCost
@@ -67,7 +58,7 @@ func solveMixed(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 			})
 		}
 		for _, n := range dtmNodes {
-			n.sim = sim
+			n.timers = sim
 		}
 		sim.SetObserver(func(t float64, node int) { eng.record(t) })
 		if done != nil {
@@ -84,6 +75,13 @@ func solveMixed(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 			sim.SetStopCondition(func(t float64) bool { return eng.shouldStop(off + t) })
 		}
 		stats := sim.Run(window)
+		if eng.faults != nil {
+			// The window's nodes and their timers end here; a crash window
+			// that outlasts it is re-entered by the next window's Init, and
+			// the barrier sweeps read the spec's windows instead.
+			eng.faults.crashedParts = 0
+			clear(eng.faults.crashArmed)
+		}
 		delivered += stats.Messages
 		now += math.Min(window, stats.Time)
 		asyncPhases++
@@ -155,7 +153,7 @@ func solveMixed(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 
 	res := finish(eng, zs, math.Min(now, cfg.MaxTime), delivered, eng.converged)
 	res.AsyncPhases, res.SyncSweepsDone = asyncPhases, syncSweepsDone
-	return res, deadlineErr(ctx, cfg, eng.interrupted)
+	return res, deadlineErr(eng.interrupted)
 }
 
 // slowestAdjacentRoundTrip returns the largest delay(a→b)+delay(b→a) over

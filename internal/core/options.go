@@ -28,8 +28,9 @@ const (
 	// synchronous sweeps (the "async-sync-async-sync" variant of the paper's
 	// conclusions).
 	EngineMixed
-	// EngineLive runs one goroutine per subdomain with real (scaled)
-	// communication delays — genuinely asynchronous, not deterministic.
+	// EngineLive runs the DES engine's part nodes on one goroutine per
+	// subdomain with real (scaled) communication delays and wall-clock
+	// timers — genuinely asynchronous, not deterministic.
 	EngineLive
 )
 
@@ -73,7 +74,9 @@ type CommonOptions struct {
 	// quiesced in the distributed sense: every subdomain has solved at least
 	// once, the last local solve of every subdomain moved its boundary
 	// potentials by less than Tol, and the largest twin disagreement is below
-	// Tol. (The live engine checks the twin-gap half at every monitor poll.)
+	// Tol. Under an enabled fault spec the fault layer must also be quiet (see
+	// Faults). The DES, mixed and live engines evaluate the rule after every
+	// event; VTM after every sweep.
 	Tol float64
 
 	// SendThreshold suppresses messages to a neighbour when none of the waves
@@ -90,8 +93,8 @@ type CommonOptions struct {
 	Exact sparse.Vec
 
 	// StopOnError, when positive and Exact is supplied, stops the run as soon
-	// as the RMS error drops to or below this value (DES, VTM and mixed
-	// engines — the live engine has no deterministic instant to test it at).
+	// as the RMS error drops to or below this value (every engine; the live
+	// engine tests it after every event, like Tol).
 	StopOnError float64
 
 	// RecordTrace enables the convergence-history trace.
@@ -104,16 +107,18 @@ type CommonOptions struct {
 	// (drops, duplicates, jitter, link-down windows, crash-restart) into the
 	// run and activates the recovery machinery: sequence-numbered waves with
 	// last-writer-wins deduplication, watchdog retransmission, and periodic
-	// snapshots. DES runs stay byte-identical per Faults.Seed. A nil or
+	// snapshots. Tol-quiescence then also waits until no link-down or crash
+	// window is open, no part is down or past its crash time without having
+	// crashed, and every announced wave has been applied. DES runs stay byte-identical per Faults.Seed. A nil or
 	// disabled spec leaves every fault-path branch off.
 	Faults *chaos.Spec
 
-	// MaxWallTime is the wall-clock deadline of the run. Required for the
-	// live engine (it bounds real execution); optional elsewhere, where it
-	// caps the virtual-time engines the way a ctx deadline does. A run that
-	// the deadline (or the caller's ctx) ends before convergence returns its
-	// partial result alongside ErrDeadlineExceeded when a convergence target
-	// was set.
+	// MaxWallTime is the wall-clock deadline of the run, applied the same
+	// way to every engine, as a deadline on the ctx Solve hands the engine.
+	// Required for the live engine (it bounds real execution); optional
+	// elsewhere. A run that the deadline (or the caller's ctx) ends before
+	// convergence returns its partial result alongside ErrDeadlineExceeded
+	// when a convergence target was set.
 	MaxWallTime time.Duration
 }
 
@@ -136,11 +141,13 @@ type Config struct {
 	// realistic fraction of the time and bounds the message rate.
 	ComputeTime func(part, dim int) float64
 
-	// Observer, when non-nil, is invoked by the DES and mixed engines after
-	// every local solve with the virtual completion time, the part that
-	// solved, and its local solution vector [u_ports; y_inner] (a live buffer
-	// — copy it if it must be kept). Experiments use it to record individual
-	// port potentials (Fig. 8).
+	// Observer, when non-nil, is invoked by the DES, mixed and live engines
+	// after every asynchronous local solve with the virtual completion time,
+	// the part that solved, and its local solution vector [u_ports; y_inner]
+	// (a live buffer — copy it if it must be kept). The live engine calls it
+	// from the solving part's goroutine with the engine lock held, so calls
+	// never overlap and it must not block. Experiments use it to record
+	// individual port potentials (Fig. 8).
 	Observer func(now float64, part int, local sparse.Vec)
 
 	// MaxIterations bounds the number of synchronous sweeps. Required by the
@@ -163,13 +170,11 @@ type Config struct {
 	// TimeScale converts one topology time unit into wall-clock time for the
 	// live engine, e.g. 100·time.Microsecond turns a 10 ms-unit mesh delay
 	// into 1 ms of real time. Default: 100 µs per unit. The fault spec's
-	// windows and schedules, expressed in topology time units, are mapped
-	// through the same scale.
+	// windows and schedules and the watchdog, snapshot and crash timers,
+	// expressed in topology time units, are mapped through the same scale;
+	// the Observer's now is in topology units, while the live Result's
+	// FinalTime and trace times are wall-clock seconds.
 	TimeScale time.Duration
-
-	// PollInterval is how often the live engine's monitor samples the shared
-	// state for the trace and the stopping rule. Default: 2 ms.
-	PollInterval time.Duration
 }
 
 // normalize fills the defaults every engine shares — the single home of the
@@ -203,9 +208,6 @@ func (c *Config) normalize() {
 	case EngineLive:
 		if c.TimeScale <= 0 {
 			c.TimeScale = 100 * time.Microsecond
-		}
-		if c.PollInterval <= 0 {
-			c.PollInterval = 2 * time.Millisecond
 		}
 	}
 }

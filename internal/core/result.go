@@ -10,7 +10,8 @@ import (
 // computation at a virtual time instant (for DTM) or after a synchronous
 // iteration (for VTM).
 type TracePoint struct {
-	// Time is the virtual time of the sample (for VTM, the iteration index).
+	// Time is the virtual time of the sample (for VTM, the iteration index;
+	// for the live engine, wall-clock seconds since the start).
 	Time float64
 	// RMSError is the root-mean-square error of the assembled global solution
 	// against the exact solution; NaN when no exact solution was supplied.
@@ -31,8 +32,9 @@ type Result struct {
 	// Converged reports whether the stopping tolerance was reached before the
 	// time limit.
 	Converged bool
-	// FinalTime is the virtual (or wall-clock, for the live engine) time at
-	// which the run stopped.
+	// FinalTime is the time at which the run stopped: virtual time (topology
+	// units) for the DES and mixed engines, the sweep count for VTM, and
+	// wall-clock seconds since the start for the live engine.
 	FinalTime float64
 	// RMSError is the final RMS error against the exact solution (NaN when no
 	// exact solution was supplied).

@@ -1,6 +1,15 @@
 package core
 
-import "context"
+import (
+	"context"
+	"errors"
+)
+
+// ErrDeadlineExceeded is returned by Solve when the run ends — by the
+// caller's context or by MaxWallTime — before the convergence tolerance is
+// reached. The returned Result is still valid: it carries the partial
+// solution, its residual, and the trace up to the deadline.
+var ErrDeadlineExceeded = errors.New("core: solve deadline exceeded before convergence")
 
 // Solve runs the configured engine on the problem and returns the assembled
 // solution, the convergence verdict, and the trace. It is the single entry
@@ -20,35 +29,38 @@ func Solve(ctx context.Context, p *Problem, cfg Config) (*Result, error) {
 	if err := cfg.validate(p); err != nil {
 		return nil, err
 	}
-	if cfg.MaxWallTime > 0 && cfg.Engine != EngineLive {
-		// The live engine owns its MaxWallTime handling (it is the engine's
-		// primary bound, not a safety net).
-		runCtx, cancel := context.WithTimeout(ctx, cfg.MaxWallTime)
+	runCtx := ctx
+	if cfg.MaxWallTime > 0 {
+		var cancel context.CancelFunc
+		runCtx, cancel = context.WithTimeout(ctx, cfg.MaxWallTime)
 		defer cancel()
-		ctx = runCtx
 	}
+	var (
+		res *Result
+		err error
+	)
 	switch cfg.Engine {
 	case EngineVTM:
-		return solveVTM(ctx, p, &cfg)
+		res, err = solveVTM(runCtx, p, &cfg)
 	case EngineMixed:
-		return solveMixed(ctx, p, &cfg)
+		res, err = solveMixed(runCtx, p, &cfg)
 	case EngineLive:
-		return solveLive(ctx, p, &cfg)
+		res, err = solveLive(runCtx, p, &cfg)
 	default:
-		return solveDES(ctx, p, &cfg)
+		res, err = solveDES(runCtx, p, &cfg)
 	}
+	if err == ErrDeadlineExceeded && ctx.Err() == nil && cfg.Tol <= 0 {
+		// MaxWallTime, not the caller, ended a run that had no convergence
+		// target: a time-boxed run is complete by definition.
+		err = nil
+	}
+	return res, err
 }
 
-// deadlineErr converts an early interruption into the API's deadline error:
-// a run cut short by the caller's context, or by MaxWallTime while a
-// convergence tolerance was set, failed its deadline; a time-boxed run with
-// no target is complete by definition. ctx here is the caller's context, not
-// the derived MaxWallTime one.
-func deadlineErr(ctx context.Context, cfg *Config, interrupted bool) error {
-	if !interrupted {
-		return nil
-	}
-	if ctx.Err() != nil || cfg.Tol > 0 {
+// deadlineErr is what an engine returns for a run its ctx ended before a
+// stopping rule fired; Solve decides whether that failed a deadline.
+func deadlineErr(interrupted bool) error {
+	if interrupted {
 		return ErrDeadlineExceeded
 	}
 	return nil

@@ -351,8 +351,7 @@ func (s *Subdomain) Snapshot() {
 
 // RestoreSnapshot rolls the solution and incoming waves back to the latest
 // snapshot, or to the zero initial condition when none has been taken. The
-// buffers are restored in place — pointers into x held by the engine's
-// twin-gap tracker stay valid.
+// buffers are restored in place.
 func (s *Subdomain) RestoreSnapshot() {
 	if !s.hasSnap {
 		s.x.Zero()

@@ -116,5 +116,5 @@ func solveVTM(ctx context.Context, p *Problem, cfg *Config) (*Result, error) {
 		bn = 1
 	}
 	res.Residual = r.Norm2() / bn
-	return res, deadlineErr(ctx, cfg, interrupted)
+	return res, deadlineErr(interrupted)
 }

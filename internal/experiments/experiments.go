@@ -41,219 +41,247 @@ type Renderer interface {
 // reduced problem size suitable for unit tests and -short benchmarks.
 type Runner func(w io.Writer, quick bool) error
 
+// Experiment is one registered experiment.
+type Experiment struct {
+	// Name is the name cmd/dtmbench -exp accepts.
+	Name string
+	// Run executes the experiment.
+	Run Runner
+	// Gated marks the hot-path experiments whose cost is tracked over time:
+	// cmd/dtmbench -benchjson measures exactly these (make bench and CI's
+	// regression gate run it), in registry order.
+	Gated bool
+}
+
+// experimentList is the registry, in its stable order.
+var experimentList = []Experiment{
+	{Name: "fig8", Run: func(w io.Writer, quick bool) error {
+		r, err := Fig8(DefaultFig8Params())
+		if err != nil {
+			return err
+		}
+		return r.Render(w)
+	}},
+	{Name: "fig9", Run: func(w io.Writer, quick bool) error {
+		p := DefaultFig9Params()
+		if quick {
+			p.Impedances = p.Impedances[:5]
+		}
+		r, err := Fig9(p)
+		if err != nil {
+			return err
+		}
+		return r.Render(w)
+	}},
+	{Name: "fig11", Run: func(w io.Writer, quick bool) error {
+		r := Fig11()
+		return r.Render(w)
+	}},
+	{Name: "fig12", Gated: true, Run: func(w io.Writer, quick bool) error {
+		p := DefaultFig12Params()
+		if quick {
+			p = QuickFig12Params()
+		}
+		r, err := Fig12(p)
+		if err != nil {
+			return err
+		}
+		return r.Render(w)
+	}},
+	{Name: "fig13", Run: func(w io.Writer, quick bool) error {
+		r := Fig13()
+		return r.Render(w)
+	}},
+	{Name: "fig14", Gated: true, Run: func(w io.Writer, quick bool) error {
+		p := DefaultFig14Params()
+		if quick {
+			p = QuickFig14Params()
+		}
+		r, err := Fig14(p)
+		if err != nil {
+			return err
+		}
+		return r.Render(w)
+	}},
+	{Name: "compare-vtm", Run: func(w io.Writer, quick bool) error {
+		p := DefaultCompareParams()
+		if quick {
+			p = QuickCompareParams()
+		}
+		r, err := CompareDTMvsVTM(p)
+		if err != nil {
+			return err
+		}
+		return r.Render(w)
+	}},
+	{Name: "compare-async-jacobi", Gated: true, Run: func(w io.Writer, quick bool) error {
+		p := DefaultCompareParams()
+		if quick {
+			p = QuickCompareParams()
+		}
+		r, err := CompareAsyncJacobi(p)
+		if err != nil {
+			return err
+		}
+		return r.Render(w)
+	}},
+	{Name: "ablation-impedance", Run: func(w io.Writer, quick bool) error {
+		p := DefaultCompareParams()
+		if quick {
+			p = QuickCompareParams()
+		}
+		r, err := AblationImpedance(p)
+		if err != nil {
+			return err
+		}
+		return r.Render(w)
+	}},
+	{Name: "ablation-delays", Run: func(w io.Writer, quick bool) error {
+		p := DefaultCompareParams()
+		if quick {
+			p = QuickCompareParams()
+		}
+		r, err := AblationDelays(p)
+		if err != nil {
+			return err
+		}
+		return r.Render(w)
+	}},
+	{Name: "ablation-mixed", Run: func(w io.Writer, quick bool) error {
+		p := DefaultCompareParams()
+		if quick {
+			p = QuickCompareParams()
+		}
+		r, err := AblationMixedSync(p)
+		if err != nil {
+			return err
+		}
+		return r.Render(w)
+	}},
+	{Name: "scale-sparse", Gated: true, Run: func(w io.Writer, quick bool) error {
+		p := DefaultScaleSparseParams()
+		if quick {
+			p = QuickScaleSparseParams()
+		}
+		r, err := ScaleSparse(p)
+		if err != nil {
+			return err
+		}
+		return r.Render(w)
+	}},
+	{Name: "fault-sweep", Gated: true, Run: func(w io.Writer, quick bool) error {
+		p := DefaultFaultSweepParams()
+		if quick {
+			p = QuickFaultSweepParams()
+		}
+		r, err := FaultSweep(p)
+		if err != nil {
+			return err
+		}
+		if err := r.Render(w); err != nil {
+			return err
+		}
+		if quick {
+			return nil
+		}
+		// The full run adds the large-grid leg.
+		big, err := FaultSweep(FullFaultSweepParams())
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w)
+		return big.Render(w)
+	}},
+	{Name: "solve-throughput", Gated: true, Run: func(w io.Writer, quick bool) error {
+		p := DefaultSolveThroughputParams()
+		if quick {
+			p = QuickSolveThroughputParams()
+		}
+		r, err := SolveThroughput(p)
+		if err != nil {
+			return err
+		}
+		return r.Render(w)
+	}},
+	{Name: "compare-distributed", Gated: true, Run: func(w io.Writer, quick bool) error {
+		p := DefaultCompareDistributedParams()
+		if quick {
+			p = QuickCompareDistributedParams()
+		}
+		r, err := CompareDistributed(p)
+		if err != nil {
+			return err
+		}
+		if err := r.Render(w); err != nil {
+			return err
+		}
+		if !r.Agrees() {
+			return fmt.Errorf("experiments: E9 disagreement (see table)")
+		}
+		return nil
+	}},
+	{Name: "failover-sweep", Gated: true, Run: func(w io.Writer, quick bool) error {
+		p := DefaultFailoverSweepParams()
+		if quick {
+			p = QuickFailoverSweepParams()
+		}
+		r, err := FailoverSweep(p)
+		if err != nil {
+			return err
+		}
+		if err := r.Render(w); err != nil {
+			return err
+		}
+		if !r.Agrees() {
+			return fmt.Errorf("experiments: E10 disagreement (see table)")
+		}
+		return nil
+	}},
+	{Name: "spanner-fabric", Gated: true, Run: func(w io.Writer, quick bool) error {
+		p := DefaultSpannerFabricParams()
+		if quick {
+			p = QuickSpannerFabricParams()
+		}
+		r, err := SpannerFabric(p)
+		if err != nil {
+			return err
+		}
+		if err := r.Render(w); err != nil {
+			return err
+		}
+		if !r.Agrees() {
+			return fmt.Errorf("experiments: E11 disagreement (see table)")
+		}
+		return nil
+	}},
+}
+
 // Registry maps experiment names (as accepted by cmd/dtmbench -exp) to their
 // runners.
 func Registry() map[string]Runner {
-	return map[string]Runner{
-		"fig8": func(w io.Writer, quick bool) error {
-			r, err := Fig8(DefaultFig8Params())
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		},
-		"fig9": func(w io.Writer, quick bool) error {
-			p := DefaultFig9Params()
-			if quick {
-				p.Impedances = p.Impedances[:5]
-			}
-			r, err := Fig9(p)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		},
-		"fig11": func(w io.Writer, quick bool) error {
-			r := Fig11()
-			return r.Render(w)
-		},
-		"fig12": func(w io.Writer, quick bool) error {
-			p := DefaultFig12Params()
-			if quick {
-				p = QuickFig12Params()
-			}
-			r, err := Fig12(p)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		},
-		"fig13": func(w io.Writer, quick bool) error {
-			r := Fig13()
-			return r.Render(w)
-		},
-		"fig14": func(w io.Writer, quick bool) error {
-			p := DefaultFig14Params()
-			if quick {
-				p = QuickFig14Params()
-			}
-			r, err := Fig14(p)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		},
-		"compare-vtm": func(w io.Writer, quick bool) error {
-			p := DefaultCompareParams()
-			if quick {
-				p = QuickCompareParams()
-			}
-			r, err := CompareDTMvsVTM(p)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		},
-		"compare-async-jacobi": func(w io.Writer, quick bool) error {
-			p := DefaultCompareParams()
-			if quick {
-				p = QuickCompareParams()
-			}
-			r, err := CompareAsyncJacobi(p)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		},
-		"ablation-impedance": func(w io.Writer, quick bool) error {
-			p := DefaultCompareParams()
-			if quick {
-				p = QuickCompareParams()
-			}
-			r, err := AblationImpedance(p)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		},
-		"ablation-delays": func(w io.Writer, quick bool) error {
-			p := DefaultCompareParams()
-			if quick {
-				p = QuickCompareParams()
-			}
-			r, err := AblationDelays(p)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		},
-		"ablation-mixed": func(w io.Writer, quick bool) error {
-			p := DefaultCompareParams()
-			if quick {
-				p = QuickCompareParams()
-			}
-			r, err := AblationMixedSync(p)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		},
-		"scale-sparse": func(w io.Writer, quick bool) error {
-			p := DefaultScaleSparseParams()
-			if quick {
-				p = QuickScaleSparseParams()
-			}
-			r, err := ScaleSparse(p)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		},
-		"solve-throughput": func(w io.Writer, quick bool) error {
-			p := DefaultSolveThroughputParams()
-			if quick {
-				p = QuickSolveThroughputParams()
-			}
-			r, err := SolveThroughput(p)
-			if err != nil {
-				return err
-			}
-			return r.Render(w)
-		},
-		"fault-sweep": func(w io.Writer, quick bool) error {
-			p := DefaultFaultSweepParams()
-			if quick {
-				p = QuickFaultSweepParams()
-			}
-			r, err := FaultSweep(p)
-			if err != nil {
-				return err
-			}
-			if err := r.Render(w); err != nil {
-				return err
-			}
-			if quick {
-				return nil
-			}
-			// The full run adds the large-grid leg.
-			big, err := FaultSweep(FullFaultSweepParams())
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-			return big.Render(w)
-		},
-		"failover-sweep": func(w io.Writer, quick bool) error {
-			p := DefaultFailoverSweepParams()
-			if quick {
-				p = QuickFailoverSweepParams()
-			}
-			r, err := FailoverSweep(p)
-			if err != nil {
-				return err
-			}
-			if err := r.Render(w); err != nil {
-				return err
-			}
-			if !r.Agrees() {
-				return fmt.Errorf("experiments: E10 disagreement (see table)")
-			}
-			return nil
-		},
-		"spanner-fabric": func(w io.Writer, quick bool) error {
-			p := DefaultSpannerFabricParams()
-			if quick {
-				p = QuickSpannerFabricParams()
-			}
-			r, err := SpannerFabric(p)
-			if err != nil {
-				return err
-			}
-			if err := r.Render(w); err != nil {
-				return err
-			}
-			if !r.Agrees() {
-				return fmt.Errorf("experiments: E11 disagreement (see table)")
-			}
-			return nil
-		},
-		"compare-distributed": func(w io.Writer, quick bool) error {
-			p := DefaultCompareDistributedParams()
-			if quick {
-				p = QuickCompareDistributedParams()
-			}
-			r, err := CompareDistributed(p)
-			if err != nil {
-				return err
-			}
-			if err := r.Render(w); err != nil {
-				return err
-			}
-			if !r.Agrees() {
-				return fmt.Errorf("experiments: E9 disagreement (see table)")
-			}
-			return nil
-		},
+	reg := make(map[string]Runner, len(experimentList))
+	for _, e := range experimentList {
+		reg[e.Name] = e.Run
 	}
+	return reg
 }
 
 // Names returns the registered experiment names in a stable order.
 func Names() []string {
-	return []string{
-		"fig8", "fig9", "fig11", "fig12", "fig13", "fig14",
-		"compare-vtm", "compare-async-jacobi",
-		"ablation-impedance", "ablation-delays", "ablation-mixed",
-		"scale-sparse", "fault-sweep", "solve-throughput",
-		"compare-distributed", "failover-sweep", "spanner-fabric",
+	names := make([]string, len(experimentList))
+	for i, e := range experimentList {
+		names[i] = e.Name
 	}
+	return names
+}
+
+// GatedNames returns the names of the gated experiments in registry order.
+func GatedNames() []string {
+	var names []string
+	for _, e := range experimentList {
+		if e.Gated {
+			names = append(names, e.Name)
+		}
+	}
+	return names
 }

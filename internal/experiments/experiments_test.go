@@ -3,9 +3,11 @@ package experiments
 import (
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/benchjson"
 	"repro/internal/topology"
 )
 
@@ -24,6 +26,24 @@ func TestRegistryAndNamesAgree(t *testing.T) {
 		if reg[n] == nil {
 			t.Errorf("experiment %q listed but not registered", n)
 		}
+	}
+}
+
+// TestGatedNamesMatchBaseline ties the registry's Gated flags to the committed
+// benchmark baseline: cmd/dtmbench -benchjson measures GatedNames in order and
+// cmd/benchdiff compares that against BENCH_dtm.json, so a change to the gated
+// set belongs with a re-baseline.
+func TestGatedNamesMatchBaseline(t *testing.T) {
+	base, err := benchjson.Read("../../BENCH_dtm.json")
+	if err != nil {
+		t.Fatalf("reading the baseline: %v", err)
+	}
+	var want []string
+	for _, r := range base.Results {
+		want = append(want, r.Experiment)
+	}
+	if got := GatedNames(); !slices.Equal(got, want) {
+		t.Errorf("GatedNames() = %q, the baseline measures %q", got, want)
 	}
 }
 
